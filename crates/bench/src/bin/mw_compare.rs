@@ -20,10 +20,10 @@
 use hetgrid_bench::report::{write_bench, JsonWriter};
 use hetgrid_core::Topology;
 use hetgrid_dist::BlockCyclic;
-use hetgrid_exec::{run_mm, run_star_mm};
+use hetgrid_exec::{run_mm_on_cfg, run_star_mm_on_cfg, ChannelTransport, ExecConfig};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
-use hetgrid_sim::counts::star_mm_counts;
+use hetgrid_sim::counts::counts;
 use std::time::Instant;
 
 /// Deterministic pseudo-random matrix (same generator as the gemm
@@ -64,12 +64,14 @@ fn main() {
         .int("workers", workers as u64);
 
     // --- 2D grid reference: uniform 2x2 block-cyclic ---
+    let cfg = ExecConfig::default();
     let dist = BlockCyclic::new(2, 2);
     let grid_weights = vec![vec![1u64; 2]; 2];
+    let run_grid = || run_mm_on_cfg(&ChannelTransport, &a, &b, &dist, nb, r, &grid_weights, cfg);
     let grid_s = time_min(reps, || {
-        run_mm(&a, &b, &dist, nb, r, &grid_weights).expect("bench grid MM failed");
+        run_grid().expect("bench grid MM failed");
     });
-    let (c_grid, grid_report) = run_mm(&a, &b, &dist, nb, r, &grid_weights).expect("grid MM");
+    let (c_grid, grid_report) = run_grid().expect("grid MM");
     assert!(
         c_grid.approx_eq(&reference, 1e-9),
         "grid MM diverged from the sequential reference"
@@ -101,16 +103,18 @@ fn main() {
             master_bw: 1.0,
         };
         let mu = hetgrid_plan::star_tile_side(worker_mem);
+        let dims = (nb, nb, nb);
+        let run_star =
+            || run_star_mm_on_cfg(&ChannelTransport, &a, &b, &topo, dims, r, &weights, cfg);
         let star_s = time_min(reps, || {
-            run_star_mm(&a, &b, &topo, (nb, nb, nb), r, &weights).expect("bench star MM failed");
+            run_star().expect("bench star MM failed");
         });
-        let (c_star, report) =
-            run_star_mm(&a, &b, &topo, (nb, nb, nb), r, &weights).expect("star MM");
+        let (c_star, report) = run_star().expect("star MM");
         assert!(
             c_star.approx_eq(&reference, 1e-9),
             "star MM (mem {worker_mem}) diverged from the sequential reference"
         );
-        let predicted = star_mm_counts(&topo, (nb, nb, nb), &weights);
+        let predicted = counts(&hetgrid_plan::star_mm_plan(&topo, dims), 0, &weights);
         assert_eq!(
             report.messages_sent, predicted.messages,
             "star executor traffic diverged from the closed form (mem {worker_mem})"

@@ -14,8 +14,8 @@
 //!    pays on every instrumented operation;
 //! 3. the cost of one `series::sample()` — the periodic metrics delta
 //!    the serve sampler thread records once a second;
-//! 4. the threaded GEMM executor (`hetgrid_exec::run_mm`) with tracing
-//!    off vs on;
+//! 4. the threaded GEMM executor (`hetgrid_exec::run_mm_on_cfg`) with
+//!    tracing off vs on;
 //! 5. the exact solver (`hetgrid_core::exact::solve_global`) with
 //!    tracing off vs on (its effort counters publish to the metrics
 //!    registry unconditionally, once per solve — the toggle exercises
@@ -31,7 +31,7 @@
 
 use hetgrid_core::exact;
 use hetgrid_dist::BlockCyclic;
-use hetgrid_exec::{run_mm, slowdown_weights};
+use hetgrid_exec::{run_mm_on_cfg, slowdown_weights, ChannelTransport, ExecConfig};
 use hetgrid_linalg::Matrix;
 use hetgrid_obs::diag;
 use rand::rngs::StdRng;
@@ -133,8 +133,11 @@ fn main() {
         n,
         reps
     );
+    let cfg = ExecConfig::default();
     let mut gemm = || {
-        std::hint::black_box(run_mm(&a, &b, &dist, nb, r, &weights).unwrap());
+        std::hint::black_box(
+            run_mm_on_cfg(&ChannelTransport, &a, &b, &dist, nb, r, &weights, cfg).unwrap(),
+        );
     };
     let gemm_off = time_traced(reps, false, &mut gemm);
     let gemm_on = time_traced(reps, true, &mut gemm);

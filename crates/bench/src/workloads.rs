@@ -3,63 +3,8 @@
 //! a few hardware generations, and multi-user parallel machines whose
 //! effective speeds drift with background load.
 
-use hetgrid_core::Arrangement;
-use hetgrid_dist::BlockDist;
-use hetgrid_sim::machine::{CostModel, SimReport};
-use hetgrid_sim::{kernels, Broadcast};
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// A simulated kernel workload for benchmark sweeps: one row of the
-/// paper's tables per kernel, all driven by the shared step plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelWorkload {
-    /// Outer-product matrix multiplication (Section 3.1).
-    Mm,
-    /// Right-looking LU (Section 3.2.1).
-    Lu,
-    /// Right-looking Cholesky (lower triangle).
-    Cholesky,
-    /// Householder QR (Section 3.2.2; twice LU's per-step arithmetic).
-    Qr,
-}
-
-impl KernelWorkload {
-    /// All kernels, for sweeps.
-    pub const ALL: [KernelWorkload; 4] = [
-        KernelWorkload::Mm,
-        KernelWorkload::Lu,
-        KernelWorkload::Cholesky,
-        KernelWorkload::Qr,
-    ];
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelWorkload::Mm => "mm",
-            KernelWorkload::Lu => "lu",
-            KernelWorkload::Cholesky => "cholesky",
-            KernelWorkload::Qr => "qr",
-        }
-    }
-
-    /// Simulates the kernel over a distribution (MM uses direct
-    /// broadcasts, matching the executor).
-    pub fn simulate(
-        &self,
-        arr: &Arrangement,
-        dist: &dyn BlockDist,
-        nb: usize,
-        cost: CostModel,
-    ) -> SimReport {
-        match self {
-            KernelWorkload::Mm => kernels::simulate_mm(arr, dist, nb, cost, Broadcast::Direct),
-            KernelWorkload::Lu => kernels::simulate_lu(arr, dist, nb, cost),
-            KernelWorkload::Cholesky => kernels::simulate_cholesky(arr, dist, nb, cost),
-            KernelWorkload::Qr => kernels::simulate_qr(arr, dist, nb, cost),
-        }
-    }
-}
 
 /// A named heterogeneity model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,6 +100,9 @@ impl Heterogeneity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetgrid_core::Arrangement;
+    use hetgrid_sim::kernels::{simulate_lu, simulate_qr};
+    use hetgrid_sim::machine::CostModel;
     use rand::SeedableRng;
 
     #[test]
@@ -193,8 +141,8 @@ mod tests {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let dist = hetgrid_dist::BlockCyclic::new(2, 2);
         let cost = CostModel::zero_comm();
-        let lu = KernelWorkload::Lu.simulate(&arr, &dist, 6, cost).makespan;
-        let qr = KernelWorkload::Qr.simulate(&arr, &dist, 6, cost).makespan;
+        let lu = simulate_lu(&arr, &dist, 6, cost).makespan;
+        let qr = simulate_qr(&arr, &dist, 6, cost).makespan;
         assert!(qr > lu, "qr {qr} !> lu {lu}");
     }
 

@@ -34,8 +34,9 @@ use hetgrid_core::search::{anneal, local_search, SearchOptions};
 use hetgrid_core::{exact, heuristic, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_obs::vdiag;
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
-use hetgrid_sim::{kernels, Broadcast};
+use hetgrid_sim::{kernels, Broadcast, FactorKind};
 use obs_out::ObsSession;
 
 fn main() {
@@ -560,12 +561,7 @@ fn build_dist(
 /// trace has one track per processor and the metrics carry the
 /// per-processor / per-edge message and work counters.
 fn cmd_run(args: &Args) -> Result<(), String> {
-    use hetgrid_exec::{
-        run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, slowdown_weights,
-        ChannelTransport, ExecConfig, DEFAULT_LOOKAHEAD,
-    };
-    use hetgrid_linalg::gemm::matmul;
-    use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
+    use hetgrid_exec::{slowdown_weights, ChannelTransport, ExecConfig, DEFAULT_LOOKAHEAD};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -586,7 +582,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let nb: usize = args.get_parse("nb", 8)?;
     let r: usize = args.get_parse("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
-    let kernel = args.get("kernel").unwrap_or("mm");
+    let kernel = parse_kernel(args, "mm")?;
     let cfg = ExecConfig {
         lookahead: args.get_parse("lookahead", DEFAULT_LOOKAHEAD)?,
     };
@@ -614,7 +610,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let n = nb * r;
     vdiag!(
         "executor: kernel {} on {} {}x{} blocks ({} worker threads, matrix {}x{})",
-        kernel,
+        kernel.name(),
         nb * nb,
         r,
         r,
@@ -636,6 +632,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
     let session = ObsSession::begin(args);
     let mut rng = StdRng::seed_from_u64(seed);
+    let (a, b) = run_operands(kernel, &mut rng, n);
 
     // `--crash PROC@STEP` routes the run through the elastic-grid
     // recovery driver: the named processor is killed at that retirement
@@ -644,8 +641,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     // log, and the plan resumes — the result is still verified against
     // the sequential reference.
     if let Some(spec) = args.get("crash") {
-        use hetgrid_exec::{run_recovery, GridFault, RecoveryHooks, RecoveryInput};
-        use hetgrid_harness::{resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport};
+        use hetgrid_exec::{run_recovery, GridFault, RecoveryHooks};
+        use hetgrid_harness::{
+            recovery_input, resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport,
+        };
 
         let (cproc, cstep) = spec
             .split_once('@')
@@ -677,39 +676,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
         };
 
-        let a: hetgrid_linalg::Matrix;
-        let mut b2: Option<hetgrid_linalg::Matrix> = None;
-        let input = match kernel {
-            "mm" => {
-                a = random_matrix(&mut rng, n, n);
-                b2 = Some(random_matrix(&mut rng, n, n));
-                RecoveryInput::Mm {
-                    a: &a,
-                    b: b2.as_ref().expect("just set"),
-                }
-            }
-            "lu" => {
-                a = dominant_matrix(&mut rng, n);
-                RecoveryInput::Lu { a: &a }
-            }
-            "cholesky" => {
-                a = spd_matrix(&mut rng, n);
-                RecoveryInput::Cholesky { a: &a }
-            }
-            "qr" => {
-                a = random_matrix(&mut rng, n, n);
-                RecoveryInput::Qr { a: &a }
-            }
-            other => {
-                return Err(format!(
-                    "unknown kernel: {} (run supports mm, lu, cholesky, qr)",
-                    other
-                ))
-            }
-        };
         let out = run_recovery(
             &transport,
-            input,
+            recovery_input(kernel, &a, b.as_ref()),
             dist.as_ref(),
             nb,
             r,
@@ -719,39 +688,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
 
-        let check = match kernel {
-            "mm" => {
-                let prod = matmul(&a, b2.as_ref().expect("mm has two operands"));
-                format!("max |C - A*B|    = {:.3e}", out.result.sub(&prod).max_abs())
-            }
-            "lu" => {
-                let lu = matmul(
-                    &unit_lower_from_packed(&out.result),
-                    &upper_from_packed(&out.result),
-                );
-                format!("max |L*U - A|    = {:.3e}", lu.sub(&a).max_abs())
-            }
-            "cholesky" => {
-                let err = matmul(&out.result, &out.result.transpose())
-                    .sub(&a)
-                    .max_abs();
-                format!("max |L*L^T - A|  = {:.3e}", err)
-            }
-            "qr" => {
-                let taus = out.taus.as_deref().expect("qr returns taus");
-                let (qm, rm) = hetgrid_exec::qr_unpack(&out.result, taus, nb, r);
-                format!(
-                    "max |Q*R - A|    = {:.3e}",
-                    matmul(&qm, &rm).sub(&a).max_abs()
-                )
-            }
-            _ => unreachable!(),
-        };
+        let check = residual_line(
+            kernel,
+            &a,
+            b.as_ref(),
+            &out.result,
+            out.taus.as_deref(),
+            nb,
+            r,
+        );
         session.finish()?;
 
         println!(
             "kernel {} on a {}x{} grid: processor {} crashed at step {}, run recovered",
-            kernel, p, q, cproc, cstep
+            kernel.name(),
+            p,
+            q,
+            cproc,
+            cstep
         );
         println!(
             "recovery         : resumed at step {}, {} dead blocks restored, \
@@ -769,65 +723,24 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let (report, check) = match kernel {
-        "mm" => {
-            let a = random_matrix(&mut rng, n, n);
-            let b = random_matrix(&mut rng, n, n);
-            let (c, report) = run_mm_on_cfg(
-                &ChannelTransport,
-                &a,
-                &b,
-                dist.as_ref(),
-                nb,
-                r,
-                &weights,
-                cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            let err = c.sub(&matmul(&a, &b)).max_abs();
-            (report, format!("max |C - A*B|    = {:.3e}", err))
-        }
-        "lu" => {
-            let a = dominant_matrix(&mut rng, n);
-            let (packed, report) =
-                run_lu_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let lu = matmul(
-                &unit_lower_from_packed(&packed),
-                &upper_from_packed(&packed),
-            );
-            let err = lu.sub(&a).max_abs();
-            (report, format!("max |L*U - A|    = {:.3e}", err))
-        }
-        "cholesky" => {
-            let a = spd_matrix(&mut rng, n);
-            let (l, report) =
-                run_cholesky_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let err = matmul(&l, &l.transpose()).sub(&a).max_abs();
-            (report, format!("max |L*L^T - A|  = {:.3e}", err))
-        }
-        "qr" => {
-            let a = random_matrix(&mut rng, n, n);
-            let (packed, taus, report) =
-                run_qr_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let (qm, rm) = hetgrid_exec::qr_unpack(&packed, &taus, nb, r);
-            let err = matmul(&qm, &rm).sub(&a).max_abs();
-            (report, format!("max |Q*R - A|    = {:.3e}", err))
-        }
-        other => {
-            return Err(format!(
-                "unknown kernel: {} (run supports mm, lu, cholesky, qr)",
-                other
-            ))
-        }
-    };
+    let (result, taus, report) = hetgrid_harness::run_kernel(
+        &ChannelTransport,
+        kernel,
+        &a,
+        b.as_ref(),
+        dist.as_ref(),
+        nb,
+        r,
+        &weights,
+        cfg,
+    )
+    .map_err(|e| e.to_string())?;
+    let check = residual_line(kernel, &a, b.as_ref(), &result, taus.as_deref(), nb, r);
     session.finish()?;
 
     println!(
         "kernel {} on a {}x{} grid, scheme {}: {}x{} blocks of order {} (matrix {}x{})",
-        kernel,
+        kernel.name(),
         p,
         q,
         args.get("scheme").unwrap_or("panel"),
@@ -993,6 +906,64 @@ fn spd_matrix(rng: &mut impl rand::Rng, n: usize) -> hetgrid_linalg::Matrix {
     a
 }
 
+/// `--kernel`, or `default` when absent.
+fn parse_kernel(args: &Args, default: &str) -> Result<Kernel, String> {
+    let name = args.get("kernel").unwrap_or(default);
+    Kernel::parse(name).ok_or_else(|| format!("unknown kernel: {} (mm, lu, cholesky or qr)", name))
+}
+
+/// `hetgrid run`'s operands for `kernel`: random for MM (both
+/// operands) and QR, diagonally dominant for LU, SPD for Cholesky.
+fn run_operands(
+    kernel: Kernel,
+    rng: &mut impl rand::Rng,
+    n: usize,
+) -> (hetgrid_linalg::Matrix, Option<hetgrid_linalg::Matrix>) {
+    match kernel {
+        Kernel::Mm => (random_matrix(rng, n, n), Some(random_matrix(rng, n, n))),
+        Kernel::Lu => (dominant_matrix(rng, n), None),
+        Kernel::Cholesky => (spd_matrix(rng, n), None),
+        Kernel::Qr => (random_matrix(rng, n, n), None),
+    }
+}
+
+/// The residual line `hetgrid run` prints for `kernel`'s gathered
+/// `result` against the sequential reference.
+fn residual_line(
+    kernel: Kernel,
+    a: &hetgrid_linalg::Matrix,
+    b: Option<&hetgrid_linalg::Matrix>,
+    result: &hetgrid_linalg::Matrix,
+    taus: Option<&[f64]>,
+    nb: usize,
+    r: usize,
+) -> String {
+    use hetgrid_linalg::gemm::matmul;
+    use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
+    match kernel {
+        Kernel::Mm => {
+            let prod = matmul(a, b.expect("mm has two operands"));
+            format!("max |C - A*B|    = {:.3e}", result.sub(&prod).max_abs())
+        }
+        Kernel::Lu => {
+            let lu = matmul(&unit_lower_from_packed(result), &upper_from_packed(result));
+            format!("max |L*U - A|    = {:.3e}", lu.sub(a).max_abs())
+        }
+        Kernel::Cholesky => {
+            let err = matmul(result, &result.transpose()).sub(a).max_abs();
+            format!("max |L*L^T - A|  = {:.3e}", err)
+        }
+        Kernel::Qr => {
+            let taus = taus.expect("qr returns taus");
+            let (qm, rm) = hetgrid_exec::qr_unpack(result, taus, nb, r);
+            format!(
+                "max |Q*R - A|    = {:.3e}",
+                matmul(&qm, &rm).sub(a).max_abs()
+            )
+        }
+    }
+}
+
 fn cmd_distribute(args: &Args) -> Result<(), String> {
     let times = args.times()?;
     let (p, q) = args.grid()?;
@@ -1041,7 +1012,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         return Err(format!("{} times for a {}x{} grid", times.len(), p, q));
     }
     let nb: usize = args.get_parse("nb", 32)?;
-    let kernel = args.get("kernel").unwrap_or("mm");
+    let kernel = parse_kernel(args, "mm")?;
     let network = match args.get("network").unwrap_or("switched") {
         "switched" => Network::Switched,
         "bus" | "ethernet" => Network::SharedBus,
@@ -1065,31 +1036,21 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let panel = (2 * p).max(4);
     let dist = build_dist(args, &best.arrangement, &best.alloc, panel, (2 * q).max(4))?;
 
+    let (arr, dist) = (&best.arrangement, dist.as_ref());
     let run = match kernel {
-        "mm" => kernels::simulate_mm_traced(&best.arrangement, dist.as_ref(), nb, cost, broadcast),
-        "lu" => kernels::simulate_factor_traced(
-            &best.arrangement,
-            dist.as_ref(),
-            nb,
-            cost,
-            kernels::FactorKind::Lu,
-            broadcast,
-        ),
-        "qr" => kernels::simulate_factor_traced(
-            &best.arrangement,
-            dist.as_ref(),
-            nb,
-            cost,
-            kernels::FactorKind::Qr,
-            broadcast,
-        ),
-        "cholesky" => kernels::simulate_cholesky_traced(&best.arrangement, dist.as_ref(), nb, cost),
-        other => return Err(format!("unknown kernel: {}", other)),
+        Kernel::Mm => kernels::simulate_mm_traced(arr, dist, nb, cost, broadcast),
+        Kernel::Lu => {
+            kernels::simulate_factor_traced(arr, dist, nb, cost, FactorKind::Lu, broadcast)
+        }
+        Kernel::Qr => {
+            kernels::simulate_factor_traced(arr, dist, nb, cost, FactorKind::Qr, broadcast)
+        }
+        Kernel::Cholesky => kernels::simulate_cholesky_traced(arr, dist, nb, cost),
     };
     let report = run.report.clone();
     println!(
         "kernel {} on {}x{} blocks, scheme {}, network {:?}, broadcast {:?}",
-        kernel,
+        kernel.name(),
         nb,
         nb,
         args.get("scheme").unwrap_or("panel"),
@@ -1228,8 +1189,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
             if op == "solve" {
                 RequestBody::Solve(solve)
             } else {
-                let kernel = hetgrid_serve::Kernel::parse(args.get("kernel").unwrap_or("lu"))
-                    .ok_or_else(|| format!("unknown kernel: {:?}", args.get("kernel")))?;
+                let kernel = parse_kernel(args, "lu")?;
                 let nb: usize = args.get_parse("nb", 8usize)?;
                 let spec = PlanSpec { solve, kernel, nb };
                 if op == "plan" {

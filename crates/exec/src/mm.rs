@@ -17,7 +17,7 @@ use crate::step::{
     StepInterp, WorkClock,
 };
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::Matrix;
@@ -32,9 +32,9 @@ use std::time::Instant;
 const TAG_A: u8 = 0;
 const TAG_B: u8 = 1;
 
-/// Runs `C = A * B` on `nb x nb` blocks of size `r`, distributed by
-/// `dist`, with per-processor slowdown `weights` (block kernels repeated
-/// `w_ij` times).
+/// Runs `C = A * B` on `nb x nb` blocks of size `r`, distributed by `dist`,
+/// with per-processor slowdown `weights` (block kernels repeated `w_ij`
+/// times), over `transport` with executor tuning `cfg` (lookahead depth).
 ///
 /// Returns the gathered result and per-processor measurements, or a
 /// typed [`ExecError`] if a worker dropped out mid-run.
@@ -42,38 +42,6 @@ const TAG_B: u8 = 1;
 /// # Panics
 /// Panics if matrix sizes do not equal `nb * r` or the weights table
 /// does not match the grid.
-pub fn run_mm(
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect(a, b, dist, (nb, nb, nb), r, weights)
-}
-
-/// [`run_mm`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on(transport, a, b, dist, (nb, nb, nb), r, weights)
-}
-
-/// [`run_mm_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
 pub fn run_mm_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -87,51 +55,12 @@ pub fn run_mm_on_cfg(
     run_mm_rect_on_cfg(transport, a, b, dist, (nb, nb, nb), r, weights, cfg)
 }
 
-/// Rectangular variant: `C(mb x nb) = A(mb x kb) * B(kb x nb)` in `r`-sized
-/// blocks, all three matrices laid out by the same distribution.
+/// Rectangular [`run_mm_on_cfg`]: `C(mb x nb) = A(mb x kb) * B(kb x nb)`
+/// in `r`-sized blocks, all three matrices laid out by the same
+/// distribution.
 ///
 /// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_rect(
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on(&ChannelTransport, a, b, dist, dims, r, weights)
-}
-
-/// [`run_mm_rect`] over an explicit [`Transport`].
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_rect_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on_cfg(
-        transport,
-        a,
-        b,
-        dist,
-        dims,
-        r,
-        weights,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_mm_rect_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
+/// Panics on size mismatches, like [`run_mm_on_cfg`].
 pub fn run_mm_rect_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -361,9 +290,30 @@ impl StepInterp for MmInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_mm(
+        a: &Matrix,
+        b: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        w: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        run_mm_on_cfg(
+            &ChannelTransport,
+            a,
+            b,
+            dist,
+            nb,
+            r,
+            w,
+            ExecConfig::default(),
+        )
+    }
 
     fn test_matrix(n: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -501,7 +451,17 @@ mod tests {
             })
         };
         let dist = BlockCyclic::new(2, 2);
-        let (c, _) = run_mm_rect(&a, &b, &dist, (mb, nb, kb), r, &uniform_weights(2, 2)).unwrap();
+        let (c, _) = run_mm_rect_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            &dist,
+            (mb, nb, kb),
+            r,
+            &uniform_weights(2, 2),
+            ExecConfig::default(),
+        )
+        .unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
     }
 

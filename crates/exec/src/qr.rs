@@ -29,7 +29,7 @@ use crate::step::{
     StepInterp, WorkClock,
 };
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::qr::{qr_factor, QrFactors};
 use hetgrid_linalg::Matrix;
@@ -81,44 +81,15 @@ impl PoolClone for QrPayload {
     }
 }
 
-/// Factors `a` over the distribution; returns the gathered packed
-/// factors (Householder vectors below each panel's diagonal, `R` on and
-/// above), the Householder scalars (`nb * r` of them, panel-major), and
-/// the execution report, or a typed [`ExecError`] if a worker dropped
-/// out mid-run. Unpack with [`qr_unpack`].
+/// Factors `a` over the distribution, over `transport` with executor tuning
+/// `cfg` (lookahead depth); returns the gathered packed factors
+/// (Householder vectors below each panel's diagonal, `R` on and above), the
+/// Householder scalars (`nb * r` of them, panel-major), and the execution
+/// report, or a typed [`ExecError`] if a worker dropped out mid-run. Unpack
+/// with [`qr_unpack`].
 ///
 /// # Panics
 /// Panics on size mismatch.
-pub fn run_qr(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
-    run_qr_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_qr`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_qr`].
-pub fn run_qr_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
-    run_qr_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_qr_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_qr`].
 pub fn run_qr_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -192,9 +163,9 @@ pub(crate) fn qr_seg(
     })
 }
 
-/// Rebuilds `(Q, R)` from [`run_qr`]'s globally packed factors: `Q` is
-/// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Mirrors the
-/// panel-by-panel `Q` accumulation of
+/// Rebuilds `(Q, R)` from [`run_qr_on_cfg`]'s globally packed factors:
+/// `Q` is `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Mirrors
+/// the panel-by-panel `Q` accumulation of
 /// [`qr_blocked`](hetgrid_linalg::qr::qr_blocked).
 ///
 /// # Panics
@@ -553,9 +524,20 @@ impl StepInterp for QrInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_qr(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        w: &[Vec<u64>],
+    ) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
+        run_qr_on_cfg(&ChannelTransport, a, dist, nb, r, w, ExecConfig::default())
+    }
 
     fn test_matrix(n: usize, seed: u64) -> Matrix {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;

@@ -6,7 +6,7 @@
 
 use crate::step::ExecConfig;
 use crate::store::ExecReport;
-use crate::transport::{ChannelTransport, ExecError, Transport};
+use crate::transport::{ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::tri::{solve_lower, solve_upper};
 use hetgrid_linalg::Matrix;
@@ -21,58 +21,14 @@ pub enum SolveKind {
     Cholesky,
 }
 
-/// Solves `A x = b` over the distribution; returns the solution and the
-/// factorization's execution report, or a typed [`ExecError`] if a
-/// worker dropped out mid-run.
+/// Solves `A x = b` over the distribution; the distributed factorization
+/// phase runs over `transport` with executor tuning `cfg` (lookahead
+/// depth). Returns the solution and the factorization's execution report,
+/// or a typed [`ExecError`] if a worker dropped out mid-run.
 ///
 /// # Panics
 /// Panics on size mismatch or numerical breakdown (see
-/// [`crate::run_lu`] / [`crate::run_cholesky`]).
-pub fn run_solve(
-    a: &Matrix,
-    b: &[f64],
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    kind: SolveKind,
-) -> Result<(Vec<f64>, ExecReport), ExecError> {
-    run_solve_on(&ChannelTransport, a, b, dist, nb, r, weights, kind)
-}
-
-/// [`run_solve`] over an explicit [`Transport`]: the distributed
-/// factorization phase communicates through it.
-///
-/// # Panics
-/// Panics like [`run_solve`].
-pub fn run_solve_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &[f64],
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    kind: SolveKind,
-) -> Result<(Vec<f64>, ExecReport), ExecError> {
-    run_solve_on_cfg(
-        transport,
-        a,
-        b,
-        dist,
-        nb,
-        r,
-        weights,
-        kind,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_solve_on`] with explicit executor tuning (lookahead depth) for
-/// the distributed factorization phase.
-///
-/// # Panics
-/// Panics like [`run_solve`].
+/// [`crate::run_lu_on_cfg`] / [`crate::run_cholesky_on_cfg`]).
 pub fn run_solve_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -117,6 +73,7 @@ pub fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::{matmul, matvec};
@@ -156,7 +113,18 @@ mod tests {
         let x0: Vec<f64> = (0..nb * r).map(|i| (i as f64 * 0.31).cos()).collect();
         let b = matvec(&a, &x0);
         let w = crate::store::slowdown_weights(&arr);
-        let (x, _) = run_solve(&a, &b, &dist, nb, r, &w, SolveKind::Lu).unwrap();
+        let (x, _) = run_solve_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            &dist,
+            nb,
+            r,
+            &w,
+            SolveKind::Lu,
+            ExecConfig::default(),
+        )
+        .unwrap();
         for i in 0..nb * r {
             assert!(
                 (x[i] - x0[i]).abs() < 1e-7,
@@ -177,7 +145,8 @@ mod tests {
         let a = spd(nb * r, 0x51);
         let x0: Vec<f64> = (0..nb * r).map(|i| (i % 5) as f64 - 2.0).collect();
         let b = matvec(&a, &x0);
-        let (x, report) = run_solve(
+        let (x, report) = run_solve_on_cfg(
+            &ChannelTransport,
             &a,
             &b,
             &dist,
@@ -185,6 +154,7 @@ mod tests {
             r,
             &vec![vec![1; 2]; 2],
             SolveKind::Cholesky,
+            ExecConfig::default(),
         )
         .unwrap();
         for i in 0..nb * r {

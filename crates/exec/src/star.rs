@@ -27,7 +27,7 @@ use crate::step::{
     WorkClock,
 };
 use crate::store::{BlockStore, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_core::Topology;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::Matrix;
@@ -53,11 +53,12 @@ fn mat_ns(mat: Mat) -> u8 {
     }
 }
 
-/// Runs `C(mb x nb blocks) = A(mb x kb) * B(kb x nb)` in `r`-sized
-/// blocks on a [`Topology::Star`]: the master scatters nothing — it
-/// keeps both inputs whole and streams blocks to the workers per the
-/// maximum-reuse plan. `weights` is the `1 x (workers + 1)` slowdown
-/// table (entry 0, the master, performs no block work).
+/// Runs `C(mb x nb blocks) = A(mb x kb) * B(kb x nb)` in `r`-sized blocks
+/// on a [`Topology::Star`], over `transport` with executor tuning `cfg`
+/// (lookahead depth): the master scatters nothing — it keeps both inputs
+/// whole and streams blocks to the workers per the maximum-reuse plan.
+/// `weights` is the `1 x (workers + 1)` slowdown table (entry 0, the
+/// master, performs no block work).
 ///
 /// Returns the gathered result and per-processor measurements, or a
 /// typed [`ExecError`] if a worker dropped out mid-run.
@@ -65,47 +66,6 @@ fn mat_ns(mat: Mat) -> u8 {
 /// # Panics
 /// Panics if `topo` is not a star, matrix sizes do not match
 /// `dims * r`, or the weights table does not match `1 x (workers + 1)`.
-pub fn run_star_mm(
-    a: &Matrix,
-    b: &Matrix,
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_star_mm_on(&ChannelTransport, a, b, topo, dims, r, weights)
-}
-
-/// [`run_star_mm`] over an explicit [`Transport`] (the harness injects
-/// its fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_star_mm`].
-pub fn run_star_mm_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_star_mm_on_cfg(
-        transport,
-        a,
-        b,
-        topo,
-        dims,
-        r,
-        weights,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_star_mm_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_star_mm`].
 pub fn run_star_mm_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -432,7 +392,28 @@ impl StepInterp for StarWorker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_star_mm(
+        a: &Matrix,
+        b: &Matrix,
+        topo: &Topology,
+        dims: (usize, usize, usize),
+        r: usize,
+        w: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        run_star_mm_on_cfg(
+            &ChannelTransport,
+            a,
+            b,
+            topo,
+            dims,
+            r,
+            w,
+            ExecConfig::default(),
+        )
+    }
 
     fn star(workers: usize, worker_mem: usize) -> Topology {
         Topology::Star {
@@ -573,7 +554,17 @@ mod tests {
         let b = test_matrix(nb * r, nb * r, 22);
         let (c_star, _) = run_star_mm(&a, &b, &star(3, 13), (nb, nb, nb), r, &uniform(4)).unwrap();
         let dist = hetgrid_dist::BlockCyclic::new(2, 2);
-        let (c_grid, _) = crate::mm::run_mm(&a, &b, &dist, nb, r, &vec![vec![1; 2]; 2]).unwrap();
+        let (c_grid, _) = crate::run_mm_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            &dist,
+            nb,
+            r,
+            &vec![vec![1; 2]; 2],
+            ExecConfig::default(),
+        )
+        .unwrap();
         assert!(c_star.approx_eq(&c_grid, 0.0));
     }
 }

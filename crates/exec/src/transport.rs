@@ -6,8 +6,8 @@
 //! that surface:
 //!
 //! * [`ChannelTransport`] — the production default, one
-//!   [`crate::channel`] MPMC channel per processor (what `run_mm` & co
-//!   use when called without an explicit transport);
+//!   [`crate::channel`] MPMC channel per processor (what every plain
+//!   threaded run passes to the `run_*_on_cfg` entry points);
 //! * `hetgrid-harness`'s virtual transport — a seeded fault-injecting
 //!   router (message delay, reordering, starvation detection) used by
 //!   the deterministic simulation harness.

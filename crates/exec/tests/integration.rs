@@ -10,7 +10,10 @@
 
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
-use hetgrid_exec::{run_cholesky, run_lu, run_mm, slowdown_weights};
+use hetgrid_exec::{
+    run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, slowdown_weights, ChannelTransport,
+    ExecConfig,
+};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid_linalg::Matrix;
@@ -93,11 +96,13 @@ fn mm_matches_reference_on_heterogeneous_grids() {
     for (ai, arr) in arrangements().iter().enumerate() {
         let w = slowdown_weights(arr);
         let (nb, r) = (6, 2);
+        let cfg = ExecConfig::default();
         let a = dense(nb * r, 100 + ai as u64);
         let b = dense(nb * r, 200 + ai as u64);
         let reference = matmul(&a, &b);
         for (dist, name) in distributions(arr) {
-            let (c, report) = run_mm(&a, &b, dist.as_ref(), nb, r, &w).unwrap();
+            let (c, report) =
+                run_mm_on_cfg(&ChannelTransport, &a, &b, dist.as_ref(), nb, r, &w, cfg).unwrap();
             assert!(
                 c.approx_eq(&reference, 1e-9),
                 "MM mismatch on {}x{} {}: max err {:.3e}",
@@ -119,9 +124,11 @@ fn lu_matches_reference_on_heterogeneous_grids() {
     for (ai, arr) in arrangements().iter().enumerate() {
         let w = slowdown_weights(arr);
         let (nb, r) = (6, 2);
+        let cfg = ExecConfig::default();
         let a = dominant(nb * r, 300 + ai as u64);
         for (dist, name) in distributions(arr) {
-            let (f, _) = run_lu(&a, dist.as_ref(), nb, r, &w).unwrap();
+            let (f, _) =
+                run_lu_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &w, cfg).unwrap();
             let lu = matmul(&unit_lower_from_packed(&f), &upper_from_packed(&f));
             assert!(
                 lu.approx_eq(&a, 1e-8),
@@ -140,9 +147,11 @@ fn cholesky_matches_reference_on_heterogeneous_grids() {
     for (ai, arr) in arrangements().iter().enumerate() {
         let w = slowdown_weights(arr);
         let (nb, r) = (6, 2);
+        let cfg = ExecConfig::default();
         let a = spd(nb * r, 400 + ai as u64);
         for (dist, name) in distributions(arr) {
-            let (l, _) = run_cholesky(&a, dist.as_ref(), nb, r, &w).unwrap();
+            let (l, _) =
+                run_cholesky_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &w, cfg).unwrap();
             let llt = matmul(&l, &l.transpose());
             assert!(
                 llt.approx_eq(&a, 1e-8),
@@ -167,7 +176,8 @@ fn weighted_work_reflects_the_arrangement() {
     let (nb, r) = (4, 2);
     let a = dense(nb * r, 77);
     let b = dense(nb * r, 78);
-    let (_, report) = run_mm(&a, &b, &dist, nb, r, &w).unwrap();
+    let cfg = ExecConfig::default();
+    let (_, report) = run_mm_on_cfg(&ChannelTransport, &a, &b, &dist, nb, r, &w, cfg).unwrap();
     let blocks_each = (nb * nb / 4) as u64;
     for (i, row) in w.iter().enumerate() {
         for (j, &wij) in row.iter().enumerate() {

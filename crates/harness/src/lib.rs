@@ -44,8 +44,9 @@ pub mod vtransport;
 
 pub use faults::{kill_variants, FaultProfile, KillSchedule};
 pub use runner::{
-    resolve_grid_fault, run_adapt_case, run_exec_case, run_recovery_case, run_recovery_join_case,
-    run_redistribution_case, run_star_case, Kernel,
+    recovery_input, resolve_grid_fault, run_adapt_case, run_exec_case, run_kernel,
+    run_recovery_case, run_recovery_join_case, run_redistribution_case, run_solve_case,
+    run_star_case,
 };
 pub use vtransport::VirtualTransport;
 

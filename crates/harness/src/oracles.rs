@@ -21,6 +21,7 @@ use hetgrid_exec::{DistributedMatrix, ExecReport, RecoveryStats};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use hetgrid_sim::counts::KernelCounts;
 
 /// Checks `c` against the reference product `a * b`.
@@ -65,7 +66,7 @@ pub fn check_cholesky(a: &Matrix, l: &Matrix, tol: f64) -> Result<(), String> {
     }
 }
 
-/// Checks the packed QR factors from [`hetgrid_exec::run_qr`]:
+/// Checks the packed QR factors from [`hetgrid_exec::run_qr_on_cfg`]:
 /// unpacking must give an orthonormal `Q` with `Q * R` reproducing `a`.
 pub fn check_qr(
     a: &Matrix,
@@ -95,6 +96,29 @@ pub fn check_qr(
         ));
     }
     Ok(())
+}
+
+/// The numerical oracle for `kernel`'s executor output: [`check_mm`]
+/// at `1e-9`, [`check_lu`], [`check_cholesky`] or [`check_qr`] at
+/// `1e-8`. `b` is MM's right operand, `taus` QR's Householder scalars.
+///
+/// # Panics
+/// Panics if MM lacks `b` or QR lacks `taus`.
+pub fn check_kernel(
+    kernel: Kernel,
+    a: &Matrix,
+    b: Option<&Matrix>,
+    result: &Matrix,
+    taus: Option<&[f64]>,
+    nb: usize,
+    r: usize,
+) -> Result<(), String> {
+    match kernel {
+        Kernel::Mm => check_mm(a, b.expect("MM has two operands"), result, 1e-9),
+        Kernel::Lu => check_lu(a, result, 1e-8),
+        Kernel::Cholesky => check_cholesky(a, result, 1e-8),
+        Kernel::Qr => check_qr(a, result, taus.expect("QR returns taus"), nb, r, 1e-8),
+    }
 }
 
 /// Checks a solve: the max-norm residual `|A x - b|` must be below

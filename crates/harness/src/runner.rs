@@ -7,49 +7,87 @@
 use crate::faults::{FaultProfile, KillSchedule};
 use crate::oracles;
 use crate::scenario::{
-    dominant_matrix, exec_scenario, general_matrix, random_arrangement, random_dist, spd_matrix,
-    star_scenario, ExecScenario,
+    dominant_matrix, exec_scenario, general_matrix, kernel_operands, random_arrangement,
+    random_dist, spd_matrix, star_scenario, ExecScenario,
 };
 use crate::vtransport::VirtualTransport;
 use hetgrid_adapt::{ControllerConfig, Outcome, Scenario};
 use hetgrid_core::{exact, Arrangement};
-use hetgrid_dist::{PanelDist, PanelOrdering};
+use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering};
 use hetgrid_exec::{
     run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, run_recovery,
-    run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecReport, GridFault, RecoveryHooks,
-    RecoveryInput, SolveKind, SurvivorGrid,
+    run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecError, ExecReport, GridFault,
+    RecoveryHooks, RecoveryInput, SolveKind, SurvivorGrid, Transport,
 };
 use hetgrid_linalg::gemm::matvec;
-use hetgrid_sim::counts::{
-    cholesky_counts, lu_counts, mm_counts, qr_counts, star_mm_counts, star_residency_peaks,
-};
+use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
+use hetgrid_sim::counts::{counts, star_residency_peaks};
 use hetgrid_sim::DriftProfile;
 use rand::prelude::*;
 
-/// Which executor kernel a harness case drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// Outer-product matrix multiplication.
-    Mm,
-    /// Right-looking LU without pivoting.
-    Lu,
-    /// Right-looking Cholesky.
-    Cholesky,
-    /// Fan-in Householder QR.
-    Qr,
-    /// Full linear solve (LU- or Cholesky-backed, by seed).
-    Solve,
+/// A kernel run's gathered result, its Householder scalars (QR only)
+/// and the executor report.
+pub type KernelOutput = (Matrix, Option<Vec<f64>>, ExecReport);
+
+/// Runs `kernel` on the threaded executor over `transport`: the one
+/// dispatch from the kernel table to the `run_*_on_cfg` entry points.
+/// `b` is MM's right operand.
+///
+/// # Panics
+/// Panics if MM lacks `b`, and on the size mismatches the entry points
+/// reject.
+#[allow(clippy::too_many_arguments)]
+pub fn run_kernel(
+    transport: &impl Transport,
+    kernel: Kernel,
+    a: &Matrix,
+    b: Option<&Matrix>,
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<KernelOutput, ExecError> {
+    Ok(match kernel {
+        Kernel::Mm => {
+            let b = b.expect("MM has two operands");
+            let (c, report) = run_mm_on_cfg(transport, a, b, dist, nb, r, weights, cfg)?;
+            (c, None, report)
+        }
+        Kernel::Lu => {
+            let (f, report) = run_lu_on_cfg(transport, a, dist, nb, r, weights, cfg)?;
+            (f, None, report)
+        }
+        Kernel::Cholesky => {
+            let (l, report) = run_cholesky_on_cfg(transport, a, dist, nb, r, weights, cfg)?;
+            (l, None, report)
+        }
+        Kernel::Qr => {
+            let (packed, taus, report) = run_qr_on_cfg(transport, a, dist, nb, r, weights, cfg)?;
+            (packed, Some(taus), report)
+        }
+    })
 }
 
-impl Kernel {
-    /// The four factorization/multiplication kernels plus the solve.
-    pub const ALL: [Kernel; 5] = [
-        Kernel::Mm,
-        Kernel::Lu,
-        Kernel::Cholesky,
-        Kernel::Qr,
-        Kernel::Solve,
-    ];
+/// `kernel`'s operands as input to [`hetgrid_exec::run_recovery`].
+///
+/// # Panics
+/// Panics if MM lacks `b`.
+pub fn recovery_input<'a>(
+    kernel: Kernel,
+    a: &'a Matrix,
+    b: Option<&'a Matrix>,
+) -> RecoveryInput<'a> {
+    match kernel {
+        Kernel::Mm => RecoveryInput::Mm {
+            a,
+            b: b.expect("MM has two operands"),
+        },
+        Kernel::Lu => RecoveryInput::Lu { a },
+        Kernel::Cholesky => RecoveryInput::Cholesky { a },
+        Kernel::Qr => RecoveryInput::Qr { a },
+    }
 }
 
 /// Runs one executor case and validates it with every applicable
@@ -60,124 +98,135 @@ impl Kernel {
 /// any oracle rejects the run.
 pub fn run_exec_case(kernel: Kernel, profile: FaultProfile, seed: u64) {
     let sc = exec_scenario(seed);
-    let ctx = format!(
-        "{kernel:?} under '{}' on {} — replay: HARNESS_SEED={seed} cargo test -p hetgrid-harness",
-        profile.name,
-        sc.describe()
-    );
+    let ctx = case_context(&format!("{kernel:?}"), profile, seed, &sc);
     let transport = VirtualTransport::new(seed, profile);
-    // Independent stream for matrix entries, so the scenario draw stays
-    // stable if matrix generation ever changes.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x00D1_5EA5_E000_0000);
+    let mut rng = matrix_stream(seed);
+    let dist = sc.dist.as_ref();
+    let cfg = ExecConfig {
+        lookahead: sc.lookahead,
+    };
+    let (a, b) = kernel_operands(kernel, &mut rng, sc.nb * sc.r);
+    let (result, taus, report) = run_kernel(
+        &transport,
+        kernel,
+        &a,
+        b.as_ref(),
+        dist,
+        sc.nb,
+        sc.r,
+        &sc.weights,
+        cfg,
+    )
+    .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
+    check(
+        &ctx,
+        oracles::check_kernel(
+            kernel,
+            &a,
+            b.as_ref(),
+            &result,
+            taus.as_deref(),
+            sc.nb,
+            sc.r,
+        ),
+    );
+    let plan = kernel.plan(dist, sc.nb);
+    check(
+        &ctx,
+        oracles::check_counts(&report, &counts(&plan, 0, &sc.weights)),
+    );
+    finish_exec_case(&sc, &report, &ctx);
+}
+
+/// Runs one full linear-solve case — LU-backed on even seeds,
+/// Cholesky-backed on odd ones — and validates it with the residual,
+/// count and telemetry oracles.
+///
+/// # Panics
+/// Panics — with the seed, profile, and scenario in the message — when
+/// any oracle rejects the run.
+pub fn run_solve_case(profile: FaultProfile, seed: u64) {
+    let sc = exec_scenario(seed);
+    let ctx = case_context("Solve", profile, seed, &sc);
+    let transport = VirtualTransport::new(seed, profile);
+    let mut rng = matrix_stream(seed);
     let n = sc.nb * sc.r;
     let dist = sc.dist.as_ref();
     let cfg = ExecConfig {
         lookahead: sc.lookahead,
     };
-
-    let check = |result: Result<(), String>| {
-        if let Err(msg) = result {
-            panic!("harness oracle failed: {msg}\n  case: {ctx}");
-        }
+    let (a, kind, kernel) = if seed.is_multiple_of(2) {
+        (dominant_matrix(&mut rng, n), SolveKind::Lu, Kernel::Lu)
+    } else {
+        (
+            spd_matrix(&mut rng, n),
+            SolveKind::Cholesky,
+            Kernel::Cholesky,
+        )
     };
+    let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+    let b = matvec(&a, &x0);
+    let (x, report) = run_solve_on_cfg(
+        &transport,
+        &a,
+        &b,
+        dist,
+        sc.nb,
+        sc.r,
+        &sc.weights,
+        kind,
+        cfg,
+    )
+    .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
+    check(&ctx, oracles::check_solve(&a, &x, &b, 1e-6));
+    let plan = kernel.plan(dist, sc.nb);
+    check(
+        &ctx,
+        oracles::check_counts(&report, &counts(&plan, 0, &sc.weights)),
+    );
+    finish_exec_case(&sc, &report, &ctx);
+}
 
-    let report: ExecReport = match kernel {
-        Kernel::Mm => {
-            let a = general_matrix(&mut rng, n, n);
-            let b = general_matrix(&mut rng, n, n);
-            let (c, report) =
-                run_mm_on_cfg(&transport, &a, &b, dist, sc.nb, sc.r, &sc.weights, cfg)
-                    .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-            check(oracles::check_mm(&a, &b, &c, 1e-9));
-            check(oracles::check_counts(
-                &report,
-                &mm_counts(dist, (sc.nb, sc.nb, sc.nb), &sc.weights),
-            ));
-            report
-        }
-        Kernel::Lu => {
-            let a = dominant_matrix(&mut rng, n);
-            let (f, report) = run_lu_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-            check(oracles::check_lu(&a, &f, 1e-8));
-            check(oracles::check_counts(
-                &report,
-                &lu_counts(dist, sc.nb, &sc.weights),
-            ));
-            report
-        }
-        Kernel::Cholesky => {
-            let a = spd_matrix(&mut rng, n);
-            let (l, report) =
-                run_cholesky_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                    .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-            check(oracles::check_cholesky(&a, &l, 1e-8));
-            check(oracles::check_counts(
-                &report,
-                &cholesky_counts(dist, sc.nb, &sc.weights),
-            ));
-            report
-        }
-        Kernel::Qr => {
-            let a = general_matrix(&mut rng, n, n);
-            let (packed, taus, report) =
-                run_qr_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                    .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-            check(oracles::check_qr(&a, &packed, &taus, sc.nb, sc.r, 1e-8));
-            check(oracles::check_counts(
-                &report,
-                &qr_counts(dist, sc.nb, &sc.weights),
-            ));
-            report
-        }
-        Kernel::Solve => {
-            let (a, kind) = if seed.is_multiple_of(2) {
-                (dominant_matrix(&mut rng, n), SolveKind::Lu)
-            } else {
-                (spd_matrix(&mut rng, n), SolveKind::Cholesky)
-            };
-            let x0: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-            let b = matvec(&a, &x0);
-            let (x, report) = run_solve_on_cfg(
-                &transport,
-                &a,
-                &b,
-                dist,
-                sc.nb,
-                sc.r,
-                &sc.weights,
-                kind,
-                cfg,
-            )
-            .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-            check(oracles::check_solve(&a, &x, &b, 1e-6));
-            let predicted = match kind {
-                SolveKind::Lu => lu_counts(dist, sc.nb, &sc.weights),
-                SolveKind::Cholesky => cholesky_counts(dist, sc.nb, &sc.weights),
-            };
-            check(oracles::check_counts(&report, &predicted));
-            report
-        }
-    };
+fn case_context(what: &str, profile: FaultProfile, seed: u64, sc: &ExecScenario) -> String {
+    format!(
+        "{what} under '{}' on {} — replay: HARNESS_SEED={seed} cargo test -p hetgrid-harness",
+        profile.name,
+        sc.describe()
+    )
+}
 
-    // Sanity floor: a multi-processor grid must actually communicate.
+/// The matrix-entry stream of case `seed`: independent of the scenario
+/// draw, so the scenario stays stable if matrix generation ever changes.
+fn matrix_stream(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x00D1_5EA5_E000_0000)
+}
+
+/// The oracles every grid case ends with: a multi-processor grid must
+/// actually communicate, and the live registry (with whatever
+/// per-processor / per-edge names this run interned) must survive the
+/// text exposition round trip bit-exactly.
+fn finish_exec_case(sc: &ExecScenario, report: &ExecReport, ctx: &str) {
     let (p, q) = sc.grid();
     if p * q > 1 && report.total_messages() == 0 {
         panic!("harness oracle failed: no messages on a {p}x{q} grid\n  case: {ctx}");
     }
+    check(
+        ctx,
+        oracles::check_expo_roundtrip(&hetgrid_obs::metrics().snapshot()),
+    );
+}
 
-    // Fifth oracle: the telemetry codec. The live registry (with
-    // whatever per-processor / per-edge names this run interned) must
-    // survive the text exposition round trip bit-exactly.
-    check(oracles::check_expo_roundtrip(
-        &hetgrid_obs::metrics().snapshot(),
-    ));
+/// Panics with the case context when an oracle rejects the run.
+fn check(ctx: &str, result: Result<(), String>) {
+    if let Err(msg) = result {
+        panic!("harness oracle failed: {msg}\n  case: {ctx}");
+    }
 }
 
 /// Runs one master-worker (star) case and validates it with the full
 /// oracle stack: the product against the `hetgrid-linalg` reference,
 /// the observed message/work tables against the
-/// [`hetgrid_sim::counts::star_mm_counts`] closed forms, the
+/// [`hetgrid_sim::counts::counts`] fold of the star plan, the
 /// memory-bound oracle ([`oracles::check_star_memory`]) against the
 /// plan's residency fold, and the telemetry round trip.
 ///
@@ -192,18 +241,12 @@ pub fn run_star_case(profile: FaultProfile, seed: u64) {
         sc.describe()
     );
     let transport = VirtualTransport::new(seed, profile);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x00D1_5EA5_E000_0000);
+    let mut rng = matrix_stream(seed);
     let (mb, nb, kb) = sc.dims;
     let a = general_matrix(&mut rng, mb * sc.r, kb * sc.r);
     let b = general_matrix(&mut rng, kb * sc.r, nb * sc.r);
     let cfg = ExecConfig {
         lookahead: sc.lookahead,
-    };
-
-    let check = |result: Result<(), String>| {
-        if let Err(msg) = result {
-            panic!("harness oracle failed: {msg}\n  case: {ctx}");
-        }
     };
 
     let (c, report) = run_star_mm_on_cfg(
@@ -217,25 +260,26 @@ pub fn run_star_case(profile: FaultProfile, seed: u64) {
         cfg,
     )
     .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
-    check(oracles::check_mm(&a, &b, &c, 1e-9));
-    check(oracles::check_counts(
-        &report,
-        &star_mm_counts(&sc.topo, sc.dims, &sc.weights),
-    ));
+    check(&ctx, oracles::check_mm(&a, &b, &c, 1e-9));
     let hetgrid_core::Topology::Star { worker_mem, .. } = sc.topo else {
         unreachable!("star_scenario draws a star topology")
     };
     let plan = hetgrid_plan::star_mm_plan(&sc.topo, sc.dims);
-    check(oracles::check_star_memory(
-        &star_residency_peaks(&plan),
-        worker_mem,
-    ));
+    check(
+        &ctx,
+        oracles::check_counts(&report, &counts(&plan, 0, &sc.weights)),
+    );
+    check(
+        &ctx,
+        oracles::check_star_memory(&star_residency_peaks(&plan), worker_mem),
+    );
     if report.total_messages() == 0 {
         panic!("harness oracle failed: a star run sent no messages\n  case: {ctx}");
     }
-    check(oracles::check_expo_roundtrip(
-        &hetgrid_obs::metrics().snapshot(),
-    ));
+    check(
+        &ctx,
+        oracles::check_expo_roundtrip(&hetgrid_obs::metrics().snapshot()),
+    );
 }
 
 /// Solves the post-fault load-balancing problem for a grid fault — the
@@ -382,10 +426,6 @@ fn recovery_case(
     sc: ExecScenario,
     schedule: KillSchedule,
 ) {
-    assert!(
-        !matches!(kernel, Kernel::Solve),
-        "recovery covers the four block kernels; Solve delegates to Lu/Cholesky"
-    );
     let ctx = format!(
         "{kernel:?} recovery from {:?} under '{}' on {} — replay: HARNESS_SEED={seed} \
          cargo test -p hetgrid-harness",
@@ -395,46 +435,28 @@ fn recovery_case(
     );
     // Same matrix stream as `run_exec_case`, so a recovery failure
     // replays on the exact matrices the plain case uses.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x00D1_5EA5_E000_0000);
-    let n = sc.nb * sc.r;
+    let mut rng = matrix_stream(seed);
     let dist = sc.dist.as_ref();
     let cfg = ExecConfig {
         lookahead: sc.lookahead,
     };
+    let (a, b) = kernel_operands(kernel, &mut rng, sc.nb * sc.r);
 
     // The fault-free reference: the same scenario and message-fault
     // profile, no kill schedule.
     let fault_free = VirtualTransport::new(seed, profile);
-    let (input_a, input_b, reference, ref_taus) = match kernel {
-        Kernel::Mm => {
-            let a = general_matrix(&mut rng, n, n);
-            let b = general_matrix(&mut rng, n, n);
-            let (c, _) = run_mm_on_cfg(&fault_free, &a, &b, dist, sc.nb, sc.r, &sc.weights, cfg)
-                .unwrap_or_else(|e| panic!("harness (fault-free reference): {e}\n  case: {ctx}"));
-            (a, Some(b), c, None)
-        }
-        Kernel::Lu => {
-            let a = dominant_matrix(&mut rng, n);
-            let (f, _) = run_lu_on_cfg(&fault_free, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                .unwrap_or_else(|e| panic!("harness (fault-free reference): {e}\n  case: {ctx}"));
-            (a, None, f, None)
-        }
-        Kernel::Cholesky => {
-            let a = spd_matrix(&mut rng, n);
-            let (l, _) = run_cholesky_on_cfg(&fault_free, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                .unwrap_or_else(|e| panic!("harness (fault-free reference): {e}\n  case: {ctx}"));
-            (a, None, l, None)
-        }
-        Kernel::Qr => {
-            let a = general_matrix(&mut rng, n, n);
-            let (packed, taus, _) =
-                run_qr_on_cfg(&fault_free, &a, dist, sc.nb, sc.r, &sc.weights, cfg).unwrap_or_else(
-                    |e| panic!("harness (fault-free reference): {e}\n  case: {ctx}"),
-                );
-            (a, None, packed, Some(taus))
-        }
-        Kernel::Solve => unreachable!(),
-    };
+    let (reference, ref_taus, _) = run_kernel(
+        &fault_free,
+        kernel,
+        &a,
+        b.as_ref(),
+        dist,
+        sc.nb,
+        sc.r,
+        &sc.weights,
+        cfg,
+    )
+    .unwrap_or_else(|e| panic!("harness (fault-free reference): {e}\n  case: {ctx}"));
 
     // The faulty run: same transport semantics plus the kill schedule.
     let transport = VirtualTransport::new(seed, profile).with_kills(&schedule);
@@ -443,19 +465,9 @@ fn recovery_case(
         resolve: Box::new(|fault| resolve_grid_fault(&sc.arr, &sc.weights, fault)),
         redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
     };
-    let input = match kernel {
-        Kernel::Mm => RecoveryInput::Mm {
-            a: &input_a,
-            b: input_b.as_ref().expect("MM has two operands"),
-        },
-        Kernel::Lu => RecoveryInput::Lu { a: &input_a },
-        Kernel::Cholesky => RecoveryInput::Cholesky { a: &input_a },
-        Kernel::Qr => RecoveryInput::Qr { a: &input_a },
-        Kernel::Solve => unreachable!(),
-    };
     let out = run_recovery(
         &transport,
-        input,
+        recovery_input(kernel, &a, b.as_ref()),
         dist,
         sc.nb,
         sc.r,
@@ -465,40 +477,31 @@ fn recovery_case(
     )
     .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
 
-    let check = |result: Result<(), String>| {
-        if let Err(msg) = result {
-            panic!("harness oracle failed: {msg}\n  case: {ctx}");
-        }
-    };
-    check(oracles::check_recovery(
-        &reference,
-        &out.result,
-        ref_taus.as_deref(),
-        out.taus.as_deref(),
-        &out.stats,
-        schedule.events.len(),
-    ));
+    check(
+        &ctx,
+        oracles::check_recovery(
+            &reference,
+            &out.result,
+            ref_taus.as_deref(),
+            out.taus.as_deref(),
+            &out.stats,
+            schedule.events.len(),
+        ),
+    );
     // The recovered numerics must also satisfy the kernel's own
     // reference oracle (not just agree with the fault-free executor).
-    match kernel {
-        Kernel::Mm => check(oracles::check_mm(
-            &input_a,
-            input_b.as_ref().expect("MM has two operands"),
+    check(
+        &ctx,
+        oracles::check_kernel(
+            kernel,
+            &a,
+            b.as_ref(),
             &out.result,
-            1e-9,
-        )),
-        Kernel::Lu => check(oracles::check_lu(&input_a, &out.result, 1e-8)),
-        Kernel::Cholesky => check(oracles::check_cholesky(&input_a, &out.result, 1e-8)),
-        Kernel::Qr => check(oracles::check_qr(
-            &input_a,
-            &out.result,
-            out.taus.as_deref().expect("QR returns taus"),
+            out.taus.as_deref(),
             sc.nb,
             sc.r,
-            1e-8,
-        )),
-        Kernel::Solve => unreachable!(),
-    }
+        ),
+    );
 }
 
 /// Runs one redistribution case: scatter a matrix, move it between two

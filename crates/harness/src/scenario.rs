@@ -13,6 +13,7 @@ use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_exec::slowdown_weights;
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use rand::prelude::*;
 
 /// A fully determined executor test case (minus the fault profile).
@@ -243,6 +244,18 @@ pub fn spd_matrix(rng: &mut StdRng, n: usize) -> Matrix {
         a[(i, i)] += n as f64;
     }
     a
+}
+
+/// Draws `kernel`'s operands from a case's matrix stream: general
+/// matrices for MM (left and right operand) and QR, a diagonally
+/// dominant one for LU, an SPD one for Cholesky.
+pub fn kernel_operands(kernel: Kernel, rng: &mut StdRng, n: usize) -> (Matrix, Option<Matrix>) {
+    match kernel {
+        Kernel::Mm => (general_matrix(rng, n, n), Some(general_matrix(rng, n, n))),
+        Kernel::Lu => (dominant_matrix(rng, n), None),
+        Kernel::Cholesky => (spd_matrix(rng, n), None),
+        Kernel::Qr => (general_matrix(rng, n, n), None),
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! with `HARNESS_SEEDS=<count>` (the nightly CI job does).
 
 use hetgrid_harness::{
-    run_adapt_case, run_exec_case, run_redistribution_case, run_star_case, seed_corpus,
-    FaultProfile, Kernel,
+    run_adapt_case, run_exec_case, run_redistribution_case, run_solve_case, run_star_case,
+    seed_corpus, FaultProfile,
 };
+use hetgrid_plan::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs `f(seed)` over the corpus, annotating any panic with the seed
@@ -57,10 +58,22 @@ exec_cases! {
     qr_reorder:     Kernel::Qr,       FaultProfile::REORDER;
     qr_delay:       Kernel::Qr,       FaultProfile::DELAY;
     qr_chaos:       Kernel::Qr,       FaultProfile::CHAOS;
-    solve_fifo:     Kernel::Solve,    FaultProfile::FIFO;
-    solve_reorder:  Kernel::Solve,    FaultProfile::REORDER;
-    solve_delay:    Kernel::Solve,    FaultProfile::DELAY;
-    solve_chaos:    Kernel::Solve,    FaultProfile::CHAOS;
+}
+
+macro_rules! solve_cases {
+    ($($name:ident: $profile:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            over_corpus(stringify!($name), |seed| run_solve_case($profile, seed));
+        }
+    )*};
+}
+
+solve_cases! {
+    solve_fifo:    FaultProfile::FIFO;
+    solve_reorder: FaultProfile::REORDER;
+    solve_delay:   FaultProfile::DELAY;
+    solve_chaos:   FaultProfile::CHAOS;
 }
 
 macro_rules! star_cases {
@@ -118,10 +131,9 @@ fn same_seed_same_profile_reports_identically() {
 /// independent work.
 mod lookahead_equivalence {
     use super::*;
-    use hetgrid_exec::{
-        run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, ExecConfig,
-    };
-    use hetgrid_harness::scenario::{dominant_matrix, exec_scenario, general_matrix, spd_matrix};
+    use hetgrid_exec::ExecConfig;
+    use hetgrid_harness::run_kernel;
+    use hetgrid_harness::scenario::{exec_scenario, general_matrix, kernel_operands};
     use hetgrid_harness::VirtualTransport;
     use hetgrid_linalg::Matrix;
     use rand::prelude::*;
@@ -131,42 +143,26 @@ mod lookahead_equivalence {
         profile: FaultProfile,
         seed: u64,
         depth: usize,
-    ) -> (Matrix, Vec<f64>) {
+    ) -> (Matrix, Option<Vec<f64>>) {
         let sc = exec_scenario(seed);
         let transport = VirtualTransport::new(seed, profile);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x00D1_5EA5_E000_0000);
-        let n = sc.nb * sc.r;
-        let dist = sc.dist.as_ref();
+        let (a, b) = kernel_operands(kernel, &mut rng, sc.nb * sc.r);
         let cfg = ExecConfig { lookahead: depth };
-        match kernel {
-            Kernel::Mm => {
-                let a = general_matrix(&mut rng, n, n);
-                let b = general_matrix(&mut rng, n, n);
-                let (c, _) =
-                    run_mm_on_cfg(&transport, &a, &b, dist, sc.nb, sc.r, &sc.weights, cfg).unwrap();
-                (c, Vec::new())
-            }
-            Kernel::Lu => {
-                let a = dominant_matrix(&mut rng, n);
-                let (f, _) =
-                    run_lu_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg).unwrap();
-                (f, Vec::new())
-            }
-            Kernel::Cholesky => {
-                let a = spd_matrix(&mut rng, n);
-                let (l, _) =
-                    run_cholesky_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg)
-                        .unwrap();
-                (l, Vec::new())
-            }
-            Kernel::Qr => {
-                let a = general_matrix(&mut rng, n, n);
-                let (packed, taus, _) =
-                    run_qr_on_cfg(&transport, &a, dist, sc.nb, sc.r, &sc.weights, cfg).unwrap();
-                (packed, taus)
-            }
-            Kernel::Solve => unreachable!("solve delegates to LU/Cholesky"),
-        }
+        let dist = sc.dist.as_ref();
+        let (result, taus, _) = run_kernel(
+            &transport,
+            kernel,
+            &a,
+            b.as_ref(),
+            dist,
+            sc.nb,
+            sc.r,
+            &sc.weights,
+            cfg,
+        )
+        .unwrap();
+        (result, taus)
     }
 
     fn assert_bit_exact(kernel: Kernel, profile: FaultProfile) {
@@ -322,17 +318,17 @@ mod properties {
         /// partition the whole-plan fold, for any cut point.
         #[test]
         fn star_counts_prefix_suffix_partition(seed in 0u64..1_000_000_000, cut in 0.0f64..1.0) {
-            use hetgrid_sim::counts::{star_mm_counts_from, star_mm_counts_from_plan};
+            use hetgrid_sim::counts::counts;
             let sc = hetgrid_harness::scenario::star_scenario(seed);
             let plan = hetgrid_plan::star_mm_plan(&sc.topo, sc.dims);
             let from = (cut * plan.steps.len() as f64) as usize;
-            let whole = star_mm_counts_from_plan(&plan, &sc.weights);
+            let whole = counts(&plan, 0, &sc.weights);
             let prefix = {
                 let mut head = plan.clone();
                 head.steps.truncate(from);
-                star_mm_counts_from_plan(&head, &sc.weights)
+                counts(&head, 0, &sc.weights)
             };
-            let suffix = star_mm_counts_from(&plan, from, &sc.weights);
+            let suffix = counts(&plan, from, &sc.weights);
             for w in 0..whole.messages[0].len() {
                 prop_assert_eq!(
                     prefix.messages[0][w] + suffix.messages[0][w],

@@ -9,10 +9,11 @@
 //! isolated from the main harness suite; within the binary the tests
 //! serialize on one mutex for the same reason.
 
-use hetgrid_exec::{run_cholesky_on, run_lu_on, run_mm_on, run_qr_on, Transport as _};
-use hetgrid_harness::scenario::{dominant_matrix, exec_scenario, general_matrix, spd_matrix};
-use hetgrid_harness::{oracles, FaultProfile, VirtualTransport};
-use hetgrid_sim::counts::{cholesky_counts, lu_counts, mm_counts, qr_counts};
+use hetgrid_exec::{ExecConfig, Transport as _};
+use hetgrid_harness::scenario::{exec_scenario, kernel_operands};
+use hetgrid_harness::{oracles, run_kernel, FaultProfile, VirtualTransport};
+use hetgrid_plan::Kernel;
+use hetgrid_sim::counts::counts;
 use rand::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -21,14 +22,6 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-}
-
-#[derive(Clone, Copy)]
-enum Kernel {
-    Mm,
-    Lu,
-    Cholesky,
-    Qr,
 }
 
 /// Runs one instrumented kernel case and returns the metrics delta it
@@ -41,38 +34,28 @@ fn run_instrumented(
     let sc = exec_scenario(seed);
     let transport = VirtualTransport::new(seed, profile);
     let mut rng = StdRng::seed_from_u64(seed);
-    let n = sc.nb * sc.r;
+    let (a, b) = kernel_operands(kernel, &mut rng, sc.nb * sc.r);
     let dist = sc.dist.as_ref();
 
     hetgrid_obs::set_enabled(true);
     let before = hetgrid_obs::metrics().snapshot();
-    let predicted = match kernel {
-        Kernel::Mm => {
-            let a = general_matrix(&mut rng, n, n);
-            let b = general_matrix(&mut rng, n, n);
-            run_mm_on(&transport, &a, &b, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            mm_counts(dist, (sc.nb, sc.nb, sc.nb), &sc.weights)
-        }
-        Kernel::Lu => {
-            let a = dominant_matrix(&mut rng, n);
-            run_lu_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            lu_counts(dist, sc.nb, &sc.weights)
-        }
-        Kernel::Cholesky => {
-            let a = spd_matrix(&mut rng, n);
-            run_cholesky_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            cholesky_counts(dist, sc.nb, &sc.weights)
-        }
-        Kernel::Qr => {
-            let a = general_matrix(&mut rng, n, n);
-            run_qr_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            qr_counts(dist, sc.nb, &sc.weights)
-        }
-    };
+    run_kernel(
+        &transport,
+        kernel,
+        &a,
+        b.as_ref(),
+        dist,
+        sc.nb,
+        sc.r,
+        &sc.weights,
+        ExecConfig::default(),
+    )
+    .unwrap();
     let delta = hetgrid_obs::metrics().snapshot().delta(&before);
     hetgrid_obs::set_enabled(false);
     hetgrid_obs::trace::clear();
 
+    let predicted = counts(&kernel.plan(dist, sc.nb), 0, &sc.weights);
     if let Err(msg) = oracles::check_obs_counts(&delta, &predicted) {
         panic!(
             "obs differential oracle failed: {msg}\n  case: seed {seed}, profile '{}', {}",

@@ -9,9 +9,10 @@
 
 use hetgrid_exec::{GridFault, Transport};
 use hetgrid_harness::{
-    kill_variants, run_recovery_case, run_recovery_join_case, seed_corpus, FaultProfile, Kernel,
+    kill_variants, run_recovery_case, run_recovery_join_case, seed_corpus, FaultProfile,
     KillSchedule, VirtualTransport,
 };
+use hetgrid_plan::Kernel;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 

@@ -257,6 +257,60 @@ pub struct Plan {
     pub steps: Vec<Step>,
 }
 
+/// The kernel table: one row per dense kernel of Section 3, each naming
+/// its CLI spelling, its service wire byte and its plan generator.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// Outer-product matrix multiplication (Section 3.1).
+    Mm,
+    /// Right-looking blocked LU (Section 3.2).
+    Lu,
+    /// Right-looking blocked Cholesky (lower triangle).
+    Cholesky,
+    /// Fan-in Householder blocked QR (Section 3.2).
+    Qr,
+}
+
+impl Kernel {
+    /// Every kernel, in wire-byte order.
+    pub const ALL: [Kernel; 4] = [Kernel::Mm, Kernel::Lu, Kernel::Cholesky, Kernel::Qr];
+
+    /// CLI-facing name (`mm`, `lu`, `cholesky`, `qr`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Mm => "mm",
+            Kernel::Lu => "lu",
+            Kernel::Cholesky => "cholesky",
+            Kernel::Qr => "qr",
+        }
+    }
+
+    /// Parses a CLI-facing name.
+    pub fn parse(s: &str) -> Option<Kernel> {
+        Kernel::ALL.into_iter().find(|k| k.name() == s)
+    }
+
+    /// Wire byte for this kernel (its index in [`Kernel::ALL`]).
+    pub fn as_u8(self) -> u8 {
+        self as u8
+    }
+
+    /// Kernel for a wire byte.
+    pub fn from_u8(b: u8) -> Option<Kernel> {
+        Kernel::ALL.get(usize::from(b)).copied()
+    }
+
+    /// The kernel's schedule on an `nb x nb` block matrix.
+    pub fn plan(self, dist: &dyn BlockDist, nb: usize) -> Plan {
+        match self {
+            Kernel::Mm => mm_plan(dist, nb),
+            Kernel::Lu => factor_plan(dist, nb),
+            Kernel::Cholesky => cholesky_plan(dist, nb),
+            Kernel::Qr => qr_plan(dist, nb),
+        }
+    }
+}
+
 /// Distinct owners of blocks `(bi, bj)` for `bj` in `cols`, excluding
 /// `skip`, in first-need order.
 fn row_owners(
@@ -752,6 +806,22 @@ mod tests {
             assert!(reflector_dests.is_empty());
             assert!(columns.is_empty());
         }
+    }
+
+    #[test]
+    fn kernel_table_round_trips_names_and_wire_bytes() {
+        let names = ["mm", "lu", "cholesky", "qr"];
+        for (byte, (k, name)) in Kernel::ALL.into_iter().zip(names).enumerate() {
+            assert_eq!(k.name(), name);
+            assert_eq!(Kernel::parse(k.name()), Some(k));
+            assert_eq!(k.as_u8(), byte as u8, "{name}: wire byte is pinned");
+            assert_eq!(Kernel::from_u8(k.as_u8()), Some(k));
+        }
+        assert_eq!(Kernel::parse("solve"), None);
+        assert_eq!(Kernel::from_u8(4), None);
+        let dist = BlockCyclic::new(2, 2);
+        assert_eq!(Kernel::Qr.plan(&dist, 3), qr_plan(&dist, 3));
+        assert_eq!(Kernel::Mm.plan(&dist, 3), mm_plan(&dist, 3));
     }
 
     #[test]

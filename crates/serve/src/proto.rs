@@ -69,62 +69,9 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// The kernel a plan or simulation request is about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// Outer-product matrix multiplication (paper Section 3.1).
-    Mm,
-    /// Right-looking blocked LU (Section 3.2).
-    Lu,
-    /// Right-looking blocked Cholesky.
-    Cholesky,
-    /// Householder blocked QR.
-    Qr,
-}
-
-impl Kernel {
-    /// Wire byte for this kernel.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Kernel::Mm => 0,
-            Kernel::Lu => 1,
-            Kernel::Cholesky => 2,
-            Kernel::Qr => 3,
-        }
-    }
-
-    /// Kernel for a wire byte.
-    pub fn from_u8(b: u8) -> Option<Kernel> {
-        Some(match b {
-            0 => Kernel::Mm,
-            1 => Kernel::Lu,
-            2 => Kernel::Cholesky,
-            3 => Kernel::Qr,
-            _ => return None,
-        })
-    }
-
-    /// CLI-facing name (`mm`, `lu`, `cholesky`, `qr`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Mm => "mm",
-            Kernel::Lu => "lu",
-            Kernel::Cholesky => "cholesky",
-            Kernel::Qr => "qr",
-        }
-    }
-
-    /// Parses a CLI-facing name.
-    pub fn parse(s: &str) -> Option<Kernel> {
-        Some(match s {
-            "mm" => Kernel::Mm,
-            "lu" => Kernel::Lu,
-            "cholesky" => Kernel::Cholesky,
-            "qr" => Kernel::Qr,
-            _ => return None,
-        })
-    }
-}
+/// The kernel a plan or simulation request is about; its wire byte is
+/// [`Kernel::as_u8`].
+pub use hetgrid_plan::Kernel;
 
 /// The load-balancing problem instance: a `p x q` grid and its
 /// row-major cycle-time matrix.

@@ -35,8 +35,8 @@
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
 use crate::proto::{
-    decode_request, encode_response, Kernel, MetricsFormat, PlanSpec, Request, RequestBody,
-    Response, SolveResult, SolveSpec,
+    decode_request, encode_response, MetricsFormat, Request, RequestBody, Response, SolveResult,
+    SolveSpec,
 };
 use crate::quota::{QuotaConfig, QuotaTable};
 use hetgrid_core::{heuristic, validate_times, Arrangement};
@@ -376,15 +376,6 @@ fn dist_for(arr: &Arrangement, alloc: &hetgrid_core::Allocation, nb: usize) -> P
     PanelDist::from_allocation(arr, alloc, bp, bq, PanelOrdering::Interleaved)
 }
 
-fn plan_for(spec: &PlanSpec, dist: &PanelDist) -> hetgrid_plan::Plan {
-    match spec.kernel {
-        Kernel::Mm => hetgrid_plan::mm_plan(dist, spec.nb),
-        Kernel::Lu => hetgrid_plan::factor_plan(dist, spec.nb),
-        Kernel::Cholesky => hetgrid_plan::cholesky_plan(dist, spec.nb),
-        Kernel::Qr => hetgrid_plan::qr_plan(dist, spec.nb),
-    }
-}
-
 fn compute(body: &RequestBody) -> Response {
     match body {
         RequestBody::Solve(spec) => {
@@ -394,7 +385,7 @@ fn compute(body: &RequestBody) -> Response {
         RequestBody::Plan(spec) => {
             let (arr, alloc, result) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
-            let plan = plan_for(spec, &dist);
+            let plan = spec.kernel.plan(&dist, spec.nb);
             Response::Plan(crate::proto::PlanResult {
                 solve: result,
                 plan_bytes: hetgrid_plan::wire::encode(&plan),
@@ -404,14 +395,8 @@ fn compute(body: &RequestBody) -> Response {
             let (arr, alloc, _) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
             let weights = weights_for(&arr);
-            let counts = match spec.kernel {
-                Kernel::Mm => {
-                    hetgrid_sim::counts::mm_counts(&dist, (spec.nb, spec.nb, spec.nb), &weights)
-                }
-                Kernel::Lu => hetgrid_sim::counts::lu_counts(&dist, spec.nb, &weights),
-                Kernel::Cholesky => hetgrid_sim::counts::cholesky_counts(&dist, spec.nb, &weights),
-                Kernel::Qr => hetgrid_sim::counts::qr_counts(&dist, spec.nb, &weights),
-            };
+            let plan = spec.kernel.plan(&dist, spec.nb);
+            let counts = hetgrid_sim::counts::counts(&plan, 0, &weights);
             Response::Simulate(crate::proto::SimulateResult {
                 p: spec.solve.p,
                 q: spec.solve.q,
@@ -428,7 +413,7 @@ fn compute(body: &RequestBody) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::encode_request;
+    use crate::proto::{encode_request, Kernel, PlanSpec};
     use std::sync::{MutexGuard, OnceLock};
 
     /// The metrics registry is process-global, so tests that assert
@@ -534,7 +519,8 @@ mod tests {
         };
         let (arr, alloc, _) = solve_result(&spec.solve);
         let dist = dist_for(&arr, &alloc, spec.nb);
-        let counts = hetgrid_sim::counts::cholesky_counts(&dist, spec.nb, &weights_for(&arr));
+        let plan = hetgrid_plan::cholesky_plan(&dist, spec.nb);
+        let counts = hetgrid_sim::counts::cholesky_counts_from_plan(&plan, &weights_for(&arr));
         assert_eq!(sim.messages.iter().sum::<u64>(), counts.total_messages());
         assert_eq!(sim.work.iter().sum::<u64>(), counts.total_work());
     }

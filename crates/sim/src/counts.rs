@@ -18,8 +18,6 @@
 //! communication pattern directly, independent of the plan) are kept in
 //! this module's tests as a cross-check, not as the source of truth.
 
-use hetgrid_core::Topology;
-use hetgrid_dist::BlockDist;
 use hetgrid_plan::{LoadSrc, Plan, Step};
 
 /// Predicted per-processor totals for one kernel run, laid out `[i][j]`
@@ -52,322 +50,157 @@ impl KernelCounts {
     }
 }
 
-/// Predicted counts for the outer-product multiplication
-/// `C(mb x nb) = A(mb x kb) * B(kb x nb)` (`hetgrid_exec::run_mm_rect`):
-/// a fold over [`hetgrid_plan::mm_rect_plan`].
+/// Predicted counts for the plan suffix `plan.steps[from..]`: every
+/// step's messages charged to their senders and its block operations,
+/// times the slowdown weight, to their owners. `from == 0` is the whole
+/// run; a larger `from` is the exact prediction for an executor epoch
+/// resumed at step `from` (elastic-grid recovery replays a plan from its
+/// checkpoint frontier), and prefix + suffix folds always sum to the
+/// full-plan counts. Per step kind:
 ///
-/// Step `k`: the owner of `A(bi, k)` broadcasts it to the other owners
-/// of block row `bi` of `C`; the owner of `B(k, bj)` broadcasts it to
-/// the other owners of block column `bj` of `C`; every processor then
-/// updates each of its `C` blocks once (x its slowdown weight).
-pub fn mm_counts(
-    dist: &dyn BlockDist,
-    (mb, nb, kb): (usize, usize, usize),
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    mm_counts_from_plan(&hetgrid_plan::mm_rect_plan(dist, (mb, nb, kb)), weights)
-}
-
-/// [`mm_counts`] over an already-built MM plan.
-///
-/// # Panics
-/// Panics if the plan contains non-MM steps.
-pub fn mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    mm_counts_from(plan, 0, weights)
-}
-
-/// [`mm_counts`] over the suffix `plan.steps[from..]` — the exact
-/// predicted counts for an executor epoch resumed at step `from`
-/// (elastic-grid recovery replays a plan from its checkpoint frontier).
-/// `from == 0` is the whole plan, and prefix + suffix folds always sum
-/// to the full-plan counts.
-///
-/// # Panics
-/// Panics if the plan contains non-MM steps.
-pub fn mm_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
+/// * [`Step::Mm`] (Section 3.1): each pivot block of `A` and `B` goes
+///   once to every other owner of its `C` row or column; every
+///   processor updates each owned `C` block once.
+/// * [`Step::Factor`] (right-looking LU): the diagonal owner sends the
+///   packed factors to the panel-column and pivot-row owners under one
+///   deduplicated destination set; each solved `L(bi, k)` goes along
+///   trailing row `bi`, each `U(k, bj)` down trailing column `bj`; every
+///   panel, diagonal and trailing block is one operation.
+/// * [`Step::Cholesky`]: the diagonal factor goes down panel column
+///   `k`; each panel block `L(bi, k)` to the trailing lower-triangle
+///   owners that use it; every lower-triangle block is one operation.
+/// * [`Step::Qr`] (fan-in Householder): each foreign panel block fans
+///   in to the diagonal owner and its reflector segment comes back (one
+///   message each way), the packed factors go to the trailing column
+///   heads, and each head gathers, applies `Q^T` to and returns its
+///   column the same way; a stacked panel or column of `m` blocks costs
+///   `2 m` operations, so total work is twice LU's.
+/// * [`Step::Load`] / [`Step::Compute`] / [`Step::Evict`] (star MM,
+///   laid out over the `1 x (workers + 1)` row, column 0 the master):
+///   every master-sourced load is one master send, every send-back
+///   eviction one worker return, every compute one block update.
+///   Zero-sourced loads and dropped evictions move no messages.
+pub fn counts(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
     let (p, q) = plan.grid;
     let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Mm {
-            a_bcasts, b_bcasts, ..
-        } = step
-        else {
-            panic!("mm_counts_from_plan: non-MM step in plan")
-        };
-        for b in a_bcasts.iter().chain(b_bcasts.iter()) {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        for i in 0..p {
-            for j in 0..q {
-                c.work_units[i][j] += plan.owned[i][j] as u64 * weights[i][j];
-            }
-        }
-    }
-    c
-}
-
-/// Predicted counts for right-looking LU (`hetgrid_exec::run_lu`): a
-/// fold over [`hetgrid_plan::factor_plan`].
-///
-/// Step `k`: the diagonal owner factors `A(k, k)` and broadcasts the
-/// packed factors to the owners of panel column `k` and pivot row `k`
-/// (one deduplicated destination set); each solved `L(bi, k)` is
-/// broadcast along trailing block row `bi`, each solved `U(k, bj)` down
-/// trailing block column `bj`; every trailing block is updated once.
-/// Each block operation counts one weighted work unit for its owner.
-pub fn lu_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    factor_counts_from_plan(&hetgrid_plan::factor_plan(dist, nb), 1, weights)
-}
-
-/// Counts for an LU-shaped factorization plan; `unit_scale` is the
-/// work-unit multiplier per block operation (1 for LU).
-///
-/// # Panics
-/// Panics if the plan contains non-factor steps.
-pub fn factor_counts_from_plan(plan: &Plan, unit_scale: u64, weights: &[Vec<u64>]) -> KernelCounts {
-    factor_counts_from(plan, 0, unit_scale, weights)
-}
-
-/// [`factor_counts_from_plan`] over the suffix `plan.steps[from..]` —
-/// the predicted counts for an LU epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-factor steps.
-pub fn factor_counts_from(
-    plan: &Plan,
-    from: usize,
-    unit_scale: u64,
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Factor {
-            diag,
-            panel,
-            diag_col_dests,
-            l_bcasts,
-            trsm,
-            u_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("factor_counts_from_plan: non-factor step in plan")
-        };
-        // Diagonal-factor broadcast: panel column chained with pivot
-        // row under one dedup — `diag_col_dests` plus the pivot-row
-        // destinations (l_bcasts[0] is the diagonal block) not already
-        // in it.
-        let extra = l_bcasts[0]
-            .dests
-            .iter()
-            .filter(|d| !diag_col_dests.contains(d))
-            .count();
-        c.messages[diag.0][diag.1] += (diag_col_dests.len() + extra) as u64;
-        for b in &l_bcasts[1..] {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        for b in u_bcasts {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        // Work: the diagonal factorization is part of the aggregated
-        // panel entry for its owner.
-        for w in panel.iter().chain(trsm.iter()) {
-            c.work_units[w.owner.0][w.owner.1] +=
-                w.blocks as u64 * unit_scale * weights[w.owner.0][w.owner.1];
-        }
-        for i in 0..p {
-            for j in 0..q {
-                c.work_units[i][j] += trailing[i][j] as u64 * unit_scale * weights[i][j];
-            }
-        }
-    }
-    c
-}
-
-/// Predicted counts for right-looking Cholesky
-/// (`hetgrid_exec::run_cholesky`, lower triangle): a fold over
-/// [`hetgrid_plan::cholesky_plan`].
-///
-/// Step `k`: the diagonal owner factors `A(k, k)` and broadcasts the
-/// factor down panel column `k`; each solved panel block `L(bi, k)` is
-/// broadcast to the trailing lower-triangle owners that use it as left
-/// factor (row `bi`) or right factor (column `bi`); every trailing
-/// lower-triangle block is updated once.
-pub fn cholesky_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    cholesky_counts_from_plan(&hetgrid_plan::cholesky_plan(dist, nb), weights)
-}
-
-/// [`cholesky_counts`] over an already-built Cholesky plan.
-///
-/// # Panics
-/// Panics if the plan contains non-Cholesky steps.
-pub fn cholesky_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    cholesky_counts_from(plan, 0, weights)
-}
-
-/// [`cholesky_counts`] over the suffix `plan.steps[from..]` — the
-/// predicted counts for a Cholesky epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-Cholesky steps.
-pub fn cholesky_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Cholesky {
-            diag,
-            diag_dests,
-            panel,
-            panel_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("cholesky_counts_from_plan: non-Cholesky step in plan")
-        };
-        c.work_units[diag.0][diag.1] += weights[diag.0][diag.1];
-        c.messages[diag.0][diag.1] += diag_dests.len() as u64;
-        for b in panel_bcasts {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        for w in panel.iter().chain(trailing.iter()) {
-            c.work_units[w.owner.0][w.owner.1] += w.blocks as u64 * weights[w.owner.0][w.owner.1];
-        }
-    }
-    c
-}
-
-/// Predicted counts for the fan-in Householder QR
-/// (`hetgrid_exec::run_qr`): a fold over [`hetgrid_plan::qr_plan`].
-///
-/// Step `k`: the panel blocks `(bi, k)`, `bi >= k`, fan in to the
-/// diagonal owner (one message per foreign block), which factors the
-/// stacked panel — `2 (nb - k)` weighted work units, twice LU's panel
-/// arithmetic per block (Section 3.2) — and scatters the reflector
-/// segments back (one message per foreign block). The packed panel
-/// factors are then broadcast to the heads of the trailing block
-/// columns; each head gathers its column (one message per foreign
-/// block), applies `Q^T` to the stacked column — `2 (nb - k)` weighted
-/// units — and returns the updated foreign blocks (one message each).
-///
-/// Total work is `sum_k 2 (nb - k)^2`: exactly twice LU's.
-pub fn qr_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    qr_counts_from_plan(&hetgrid_plan::qr_plan(dist, nb), weights)
-}
-
-/// [`qr_counts`] over an already-built QR plan.
-///
-/// # Panics
-/// Panics if the plan contains non-QR steps.
-pub fn qr_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    qr_counts_from(plan, 0, weights)
-}
-
-/// [`qr_counts`] over the suffix `plan.steps[from..]` — the predicted
-/// counts for a QR epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-QR steps.
-pub fn qr_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Qr {
-            diag,
-            panel,
-            reflector_dests,
-            columns,
-            ..
-        } = step
-        else {
-            panic!("qr_counts_from_plan: non-QR step in plan")
-        };
-        // Panel fan-in to the diagonal owner and reflector scatter back.
-        for &(_, owner) in panel {
-            if owner != *diag {
-                c.messages[owner.0][owner.1] += 1;
-                c.messages[diag.0][diag.1] += 1;
-            }
-        }
-        c.work_units[diag.0][diag.1] += 2 * panel.len() as u64 * weights[diag.0][diag.1];
-        c.messages[diag.0][diag.1] += reflector_dests.len() as u64;
-        // Trailing columns: gather to the head, apply, return.
-        for col in columns {
-            let head = col.head;
-            for &(_, owner) in &col.members {
-                if owner != head {
-                    c.messages[owner.0][owner.1] += 1;
-                    c.messages[head.0][head.1] += 1;
-                }
-            }
-            let col_blocks = col.members.len() as u64 + 1; // + the (k, bj) head block
-            c.work_units[head.0][head.1] += 2 * col_blocks * weights[head.0][head.1];
-        }
-    }
-    c
-}
-
-/// Predicted counts for the maximum-reuse star MM schedule
-/// (`hetgrid_exec::run_star_mm`): a fold over
-/// [`hetgrid_plan::star_mm_plan`]. Tables are laid out over the
-/// executor's `1 x (workers + 1)` row — column 0 is the master, column
-/// `w` is worker `w`.
-///
-/// Every master-sourced [`Step::Load`] is one master send
-/// (`messages[0][0]`), every send-back [`Step::Evict`] one worker
-/// return (`messages[0][w]`), every [`Step::Compute`] one weighted
-/// block update for its worker. The master performs no block work, and
-/// zero-sourced loads / dropped evictions move no messages — residency
-/// transitions are free, only the one-port link pays.
-pub fn star_mm_counts(
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    star_mm_counts_from_plan(&hetgrid_plan::star_mm_plan(topo, dims), weights)
-}
-
-/// [`star_mm_counts`] over an already-built star plan.
-///
-/// # Panics
-/// Panics if the plan contains non-star steps.
-pub fn star_mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    star_mm_counts_from(plan, 0, weights)
-}
-
-/// [`star_mm_counts`] over the suffix `plan.steps[from..]` — the
-/// predicted counts for a star epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-star steps.
-pub fn star_mm_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
+    let mut work =
+        |(i, j): (usize, usize), blocks: u64| c.work_units[i][j] += blocks * weights[i][j];
+    let mut send = |(i, j): (usize, usize), n: usize| c.messages[i][j] += n as u64;
     for step in &plan.steps[from.min(plan.steps.len())..] {
         match step {
-            Step::Load { src, .. } => {
-                if *src == LoadSrc::Master {
-                    c.messages[0][0] += 1;
+            Step::Mm {
+                a_bcasts, b_bcasts, ..
+            } => {
+                for b in a_bcasts.iter().chain(b_bcasts) {
+                    send(b.src, b.dests.len());
+                }
+                for i in 0..p {
+                    for j in 0..q {
+                        work((i, j), plan.owned[i][j] as u64);
+                    }
                 }
             }
-            Step::Compute { worker, .. } => c.work_units[0][*worker] += weights[0][*worker],
+            Step::Factor {
+                diag,
+                panel,
+                diag_col_dests,
+                l_bcasts,
+                trsm,
+                u_bcasts,
+                trailing,
+                ..
+            } => {
+                // l_bcasts[0] is the diagonal block along the pivot row;
+                // it shares one dedup with the panel-column broadcast.
+                let extra = l_bcasts[0]
+                    .dests
+                    .iter()
+                    .filter(|d| !diag_col_dests.contains(d))
+                    .count();
+                send(*diag, diag_col_dests.len() + extra);
+                for b in l_bcasts[1..].iter().chain(u_bcasts) {
+                    send(b.src, b.dests.len());
+                }
+                for w in panel.iter().chain(trsm) {
+                    work(w.owner, w.blocks as u64);
+                }
+                for i in 0..p {
+                    for j in 0..q {
+                        work((i, j), trailing[i][j] as u64);
+                    }
+                }
+            }
+            Step::Cholesky {
+                diag,
+                diag_dests,
+                panel,
+                panel_bcasts,
+                trailing,
+                ..
+            } => {
+                work(*diag, 1);
+                send(*diag, diag_dests.len());
+                for b in panel_bcasts {
+                    send(b.src, b.dests.len());
+                }
+                for w in panel.iter().chain(trailing) {
+                    work(w.owner, w.blocks as u64);
+                }
+            }
+            Step::Qr {
+                diag,
+                panel,
+                reflector_dests,
+                columns,
+                ..
+            } => {
+                for &(_, owner) in panel.iter().filter(|(_, o)| o != diag) {
+                    send(owner, 1);
+                    send(*diag, 1);
+                }
+                work(*diag, 2 * panel.len() as u64);
+                send(*diag, reflector_dests.len());
+                for col in columns {
+                    for &(_, owner) in col.members.iter().filter(|(_, o)| *o != col.head) {
+                        send(owner, 1);
+                        send(col.head, 1);
+                    }
+                    // + 1 for the (k, bj) head block itself.
+                    work(col.head, 2 * (col.members.len() as u64 + 1));
+                }
+            }
+            Step::Load { src, .. } => send((0, 0), usize::from(*src == LoadSrc::Master)),
+            Step::Compute { worker, .. } => work((0, *worker), 1),
             Step::Evict {
                 worker, send_back, ..
-            } => {
-                if *send_back {
-                    c.messages[0][*worker] += 1;
-                }
-            }
-            _ => panic!("star_mm_counts_from_plan: non-star step in plan"),
+            } => send((0, *worker), usize::from(*send_back)),
         }
     }
     c
+}
+
+/// [`counts`] over a whole MM plan. Kept as a named entry point for the
+/// out-of-workspace benchmark harness (`hetbench/`).
+pub fn mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    counts(plan, 0, weights)
+}
+
+/// [`counts`] over a whole LU-shaped plan with every block operation
+/// worth `unit_scale` work units (1 for LU). Kept as a named entry point
+/// for the out-of-workspace benchmark harness (`hetbench/`).
+pub fn factor_counts_from_plan(plan: &Plan, unit_scale: u64, weights: &[Vec<u64>]) -> KernelCounts {
+    let mut c = counts(plan, 0, weights);
+    c.work_units
+        .iter_mut()
+        .flatten()
+        .for_each(|w| *w *= unit_scale);
+    c
+}
+
+/// [`counts`] over a whole Cholesky plan. Kept as a named entry point
+/// for the out-of-workspace benchmark harness (`hetbench/`).
+pub fn cholesky_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    counts(plan, 0, weights)
 }
 
 /// Per-processor resident-block high-water marks of a star plan: entry
@@ -409,25 +242,30 @@ pub fn star_residency_peaks(plan: &Plan) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgrid_dist::BlockCyclic;
+    use hetgrid_core::Topology;
+    use hetgrid_dist::{BlockCyclic, BlockDist};
+    use hetgrid_plan::Kernel;
 
     fn uniform(p: usize, q: usize) -> Vec<Vec<u64>> {
         vec![vec![1; q]; p]
+    }
+
+    fn kernel_counts(k: Kernel, dist: &dyn BlockDist, nb: usize, w: &[Vec<u64>]) -> KernelCounts {
+        counts(&k.plan(dist, nb), 0, w)
     }
 
     #[test]
     fn single_processor_sends_nothing() {
         let dist = BlockCyclic::new(1, 1);
         let w = uniform(1, 1);
-        assert_eq!(mm_counts(&dist, (3, 3, 3), &w).total_messages(), 0);
-        assert_eq!(lu_counts(&dist, 4, &w).total_messages(), 0);
-        assert_eq!(cholesky_counts(&dist, 4, &w).total_messages(), 0);
-        assert_eq!(qr_counts(&dist, 4, &w).total_messages(), 0);
+        for k in Kernel::ALL {
+            assert_eq!(kernel_counts(k, &dist, 4, &w).total_messages(), 0);
+        }
     }
 
     /// For every cut point `f`, the fold over `steps[..f]` plus the
     /// fold over `steps[f..]` equals the full fold, elementwise — the
-    /// property that makes `*_counts_from` an exact count oracle for a
+    /// property that makes [`counts`] with `from > 0` an exact count oracle for a
     /// recovery epoch resumed at `f`.
     #[test]
     fn suffix_counts_partition_the_full_fold() {
@@ -454,34 +292,19 @@ mod tests {
             master_bw: 1.0,
         };
         let nb = 5;
-        let cases: Vec<(Plan, Box<dyn Fn(&Plan, usize) -> KernelCounts>)> = vec![
-            (
-                hetgrid_plan::mm_rect_plan(&dist, (nb, nb, nb)),
-                Box::new(|p: &Plan, f| mm_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::factor_plan(&dist, nb),
-                Box::new(|p: &Plan, f| factor_counts_from(p, f, 1, &w)),
-            ),
-            (
-                hetgrid_plan::cholesky_plan(&dist, nb),
-                Box::new(|p: &Plan, f| cholesky_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::qr_plan(&dist, nb),
-                Box::new(|p: &Plan, f| qr_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::star_mm_plan(&star, (nb, nb - 1, nb)),
-                Box::new(|p: &Plan, f| star_mm_counts_from(p, f, &sw)),
-            ),
+        let cases = [
+            (hetgrid_plan::mm_rect_plan(&dist, (nb, nb, nb)), &w),
+            (hetgrid_plan::factor_plan(&dist, nb), &w),
+            (hetgrid_plan::cholesky_plan(&dist, nb), &w),
+            (hetgrid_plan::qr_plan(&dist, nb), &w),
+            (hetgrid_plan::star_mm_plan(&star, (nb, nb - 1, nb)), &sw),
         ];
-        for (plan, counts_from) in &cases {
-            let full = counts_from(plan, 0);
+        for (plan, weights) in &cases {
+            let full = counts(plan, 0, weights);
             for f in 0..=plan.steps.len() {
                 let mut prefix = plan.clone();
                 prefix.steps.truncate(f);
-                let parts = add(&counts_from(&prefix, 0), &counts_from(plan, f));
+                let parts = add(&counts(&prefix, 0, weights), &counts(plan, f, weights));
                 assert_eq!(parts, full, "prefix + suffix != full at cut {f}");
             }
         }
@@ -491,7 +314,7 @@ mod tests {
     fn mm_work_is_cube() {
         // Every C block is updated once per step: mb * nb * kb units.
         let dist = BlockCyclic::new(2, 2);
-        let c = mm_counts(&dist, (4, 4, 4), &uniform(2, 2));
+        let c = kernel_counts(Kernel::Mm, &dist, 4, &uniform(2, 2));
         assert_eq!(c.total_work(), 64);
     }
 
@@ -501,7 +324,7 @@ mod tests {
         // square: 1 + 2(nb-1-k) + (nb-1-k)^2 = (nb-k)^2 block ops.
         let nb = 5;
         let dist = BlockCyclic::new(2, 2);
-        let c = lu_counts(&dist, nb, &uniform(2, 2));
+        let c = kernel_counts(Kernel::Lu, &dist, nb, &uniform(2, 2));
         let expect: u64 = (1..=nb as u64).map(|m| m * m).sum();
         assert_eq!(c.total_work(), expect);
     }
@@ -512,7 +335,7 @@ mod tests {
         // T(nb-1-k) where T(m) = m(m+1)/2.
         let nb = 5;
         let dist = BlockCyclic::new(2, 2);
-        let c = cholesky_counts(&dist, nb, &uniform(2, 2));
+        let c = kernel_counts(Kernel::Cholesky, &dist, nb, &uniform(2, 2));
         let expect: u64 = (0..nb as u64)
             .map(|k| {
                 let m = nb as u64 - 1 - k;
@@ -528,8 +351,8 @@ mod tests {
         // 2(nb-k)^2 — exactly twice LU's per-step block ops.
         let nb = 5;
         let dist = BlockCyclic::new(2, 2);
-        let qr = qr_counts(&dist, nb, &uniform(2, 2));
-        let lu = lu_counts(&dist, nb, &uniform(2, 2));
+        let qr = kernel_counts(Kernel::Qr, &dist, nb, &uniform(2, 2));
+        let lu = kernel_counts(Kernel::Lu, &dist, nb, &uniform(2, 2));
         assert_eq!(qr.total_work(), 2 * lu.total_work());
     }
 
@@ -540,7 +363,7 @@ mod tests {
         // even + reflector count. Spot-check on a 2x2 cyclic grid.
         let nb = 4;
         let dist = BlockCyclic::new(2, 2);
-        let c = qr_counts(&dist, nb, &uniform(2, 2));
+        let c = kernel_counts(Kernel::Qr, &dist, nb, &uniform(2, 2));
         let mut reflector = 0u64;
         let plan = hetgrid_plan::qr_plan(&dist, nb);
         for step in &plan.steps {
@@ -558,8 +381,8 @@ mod tests {
     #[test]
     fn weights_scale_work_linearly() {
         let dist = BlockCyclic::new(2, 2);
-        let base = lu_counts(&dist, 4, &uniform(2, 2));
-        let heavy = lu_counts(&dist, 4, &vec![vec![3; 2]; 2]);
+        let base = kernel_counts(Kernel::Lu, &dist, 4, &uniform(2, 2));
+        let heavy = kernel_counts(Kernel::Lu, &dist, 4, &vec![vec![3; 2]; 2]);
         assert_eq!(heavy.total_work(), 3 * base.total_work());
         assert_eq!(heavy.messages, base.messages);
     }
@@ -572,8 +395,8 @@ mod tests {
 #[cfg(test)]
 mod closed_form_equivalence {
     use super::*;
-    use hetgrid_core::{exact, Arrangement};
-    use hetgrid_dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+    use hetgrid_core::{exact, Arrangement, Topology};
+    use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
     use rand::prelude::*;
 
     fn owner_id(dist: &dyn BlockDist, bi: usize, bj: usize) -> usize {
@@ -794,7 +617,7 @@ mod closed_form_equivalence {
             let plan = hetgrid_plan::star_mm_plan(&topo, dims);
             let (want, want_peaks) = closed_form_star_mm(workers, worker_mem, dims, &weights);
             assert_eq!(
-                star_mm_counts(&topo, dims, &weights),
+                counts(&plan, 0, &weights),
                 want,
                 "star case {case}: {workers}w mem {worker_mem} dims {dims:?}"
             );
@@ -822,17 +645,17 @@ mod closed_form_equivalence {
             let shapes = [(nb, nb, nb), (nb + 2, nb, nb - 1), (nb, 2 * nb, nb)];
             let shape = shapes[rng.gen_range(0..shapes.len())];
             assert_eq!(
-                mm_counts(dist.as_ref(), shape, &w),
+                counts(&hetgrid_plan::mm_rect_plan(dist.as_ref(), shape), 0, &w),
                 closed_form_mm(dist.as_ref(), shape, &w),
                 "mm case {case} shape {shape:?}"
             );
             assert_eq!(
-                lu_counts(dist.as_ref(), nb, &w),
+                counts(&hetgrid_plan::factor_plan(dist.as_ref(), nb), 0, &w),
                 closed_form_lu(dist.as_ref(), nb, &w),
                 "lu case {case} nb {nb}"
             );
             assert_eq!(
-                cholesky_counts(dist.as_ref(), nb, &w),
+                counts(&hetgrid_plan::cholesky_plan(dist.as_ref(), nb), 0, &w),
                 closed_form_cholesky(dist.as_ref(), nb, &w),
                 "cholesky case {case} nb {nb}"
             );

@@ -43,7 +43,6 @@
 
 pub mod analysis;
 pub mod bsp;
-pub mod collectives;
 pub mod counts;
 pub mod drift;
 pub mod engine;
@@ -51,7 +50,7 @@ pub mod kernels;
 pub mod machine;
 pub mod trace;
 
-pub use counts::{cholesky_counts, lu_counts, mm_counts, qr_counts, KernelCounts};
+pub use counts::KernelCounts;
 pub use drift::DriftProfile;
 pub use hetgrid_plan as plan;
 pub use kernels::{

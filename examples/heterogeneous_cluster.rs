@@ -15,7 +15,7 @@
 
 use hetgrid::core::heuristic;
 use hetgrid::dist::{BlockCyclic, PanelDist, PanelOrdering};
-use hetgrid::exec::{run_lu, run_mm, slowdown_weights};
+use hetgrid::exec::{run_lu_on_cfg, run_mm_on_cfg, slowdown_weights, ChannelTransport, ExecConfig};
 use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid::linalg::Matrix;
@@ -59,6 +59,7 @@ fn main() {
         n,
         p * q
     );
+    let cfg = ExecConfig::default();
     for (name, dist) in [
         (
             "uniform cyclic",
@@ -75,7 +76,17 @@ fn main() {
             )),
         ),
     ] {
-        let (c, report) = run_mm(&a, &b, dist.as_ref(), nb, r, &weights).unwrap();
+        let (c, report) = run_mm_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            dist.as_ref(),
+            nb,
+            r,
+            &weights,
+            cfg,
+        )
+        .unwrap();
         assert!(
             c.approx_eq(&reference, 1e-8),
             "distributed result diverged from sequential GEMM"
@@ -97,7 +108,7 @@ fn main() {
         8,
         PanelOrdering::Interleaved,
     );
-    let (f, report) = run_lu(&ad, &panel, nb, r, &weights).unwrap();
+    let (f, report) = run_lu_on_cfg(&ChannelTransport, &ad, &panel, nb, r, &weights, cfg).unwrap();
     let l = unit_lower_from_packed(&f);
     let u = upper_from_packed(&f);
     let err = matmul(&l, &u).sub(&ad).max_abs();

@@ -3,7 +3,7 @@
 
 use hetgrid::core::{exact, heuristic, objective, Arrangement};
 use hetgrid::dist::{balance_report, BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
-use hetgrid::exec::{run_lu, run_mm, slowdown_weights};
+use hetgrid::exec::{run_lu_on_cfg, run_mm_on_cfg, slowdown_weights, ChannelTransport, ExecConfig};
 use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid::linalg::Matrix;
@@ -74,7 +74,8 @@ fn paper_pipeline_2x2() {
     let a = random_matrix(nb * r, 0xE2E, false);
     let b = random_matrix(nb * r, 0xE2F, false);
     let w = slowdown_weights(&best.arrangement);
-    let (c, report) = run_mm(&a, &b, &panel, nb, r, &w).unwrap();
+    let cfg = ExecConfig::default();
+    let (c, report) = run_mm_on_cfg(&ChannelTransport, &a, &b, &panel, nb, r, &w, cfg).unwrap();
     assert!(c.approx_eq(&matmul(&a, &b), 1e-9));
     assert!(report.work_imbalance() < 1.8);
 }
@@ -189,7 +190,8 @@ fn lu_pipeline_fig4() {
     let r = 3;
     let a = random_matrix(nb * r, 0x10, true);
     let w = slowdown_weights(&arr);
-    let (f, _) = run_lu(&a, &panel, nb, r, &w).unwrap();
+    let cfg = ExecConfig::default();
+    let (f, _) = run_lu_on_cfg(&ChannelTransport, &a, &panel, nb, r, &w, cfg).unwrap();
     let l = unit_lower_from_packed(&f);
     let u = upper_from_packed(&f);
     assert!(matmul(&l, &u).approx_eq(&a, 1e-7));
