@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetgrid_core::{exact, Arrangement};
-use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
 use hetgrid_sim::{kernels, Broadcast};
 
@@ -12,33 +13,29 @@ fn paper_arr() -> Arrangement {
     Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]])
 }
 
-fn bench_des_mm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_mm_cyclic");
+/// DES run time of `kernel` under `dist` on the paper's grid, per `nb`.
+fn bench_des(c: &mut Criterion, name: &str, kernel: Kernel, dist: &dyn BlockDist) {
+    let mut group = c.benchmark_group(name);
     group.sample_size(20);
     let arr = paper_arr();
-    let dist = BlockCyclic::new(2, 2);
+    let cost = CostModel::default();
     for &nb in &[8usize, 16, 32] {
         group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |b, &nb| {
-            b.iter(|| {
-                kernels::simulate_mm(&arr, &dist, nb, CostModel::default(), Broadcast::Direct)
-            })
+            b.iter(|| kernels::simulate(&arr, dist, kernel, nb, cost, Broadcast::Direct).report)
         });
     }
     group.finish();
 }
 
+fn bench_des_mm(c: &mut Criterion) {
+    bench_des(c, "des_mm_cyclic", Kernel::Mm, &BlockCyclic::new(2, 2));
+}
+
 fn bench_des_lu(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_lu_panel");
-    group.sample_size(20);
     let arr = paper_arr();
     let sol = exact::solve_arrangement(&arr);
     let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
-    for &nb in &[8usize, 16, 32] {
-        group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |b, &nb| {
-            b.iter(|| kernels::simulate_lu(&arr, &dist, nb, CostModel::default()))
-        });
-    }
-    group.finish();
+    bench_des(c, "des_lu_panel", Kernel::Lu, &dist);
 }
 
 /// Ablation: interleaved (ABAABA) vs contiguous panel-column ordering
@@ -51,8 +48,10 @@ fn bench_ablation_lu_ordering(c: &mut Criterion) {
     let cost = CostModel::zero_comm();
     let inter = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
     let contig = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Contiguous);
-    let mi = kernels::simulate_lu(&arr, &inter, nb, cost).makespan;
-    let mc = kernels::simulate_lu(&arr, &contig, nb, cost).makespan;
+    let lu = |d: &PanelDist, nb| {
+        kernels::simulate(&arr, d, Kernel::Lu, nb, cost, Broadcast::Direct).report
+    };
+    let (mi, mc) = (lu(&inter, nb).makespan, lu(&contig, nb).makespan);
     // Diagnostic, not benchmark output: route through obs so it lands
     // on stderr and never interleaves with Criterion's stdout.
     hetgrid_obs::diag!(
@@ -65,12 +64,8 @@ fn bench_ablation_lu_ordering(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_lu_ordering");
     group.sample_size(10);
-    group.bench_function("interleaved", |b| {
-        b.iter(|| kernels::simulate_lu(&arr, &inter, 16, cost))
-    });
-    group.bench_function("contiguous", |b| {
-        b.iter(|| kernels::simulate_lu(&arr, &contig, 16, cost))
-    });
+    group.bench_function("interleaved", |b| b.iter(|| lu(&inter, 16)));
+    group.bench_function("contiguous", |b| b.iter(|| lu(&contig, 16)));
     group.finish();
 }
 
@@ -82,7 +77,9 @@ fn bench_broadcast_modes(c: &mut Criterion) {
     group.sample_size(20);
     for (name, mode) in [("direct", Broadcast::Direct), ("ring", Broadcast::Ring)] {
         group.bench_function(name, |b| {
-            b.iter(|| kernels::simulate_mm(&arr, &dist, 16, CostModel::default(), mode))
+            b.iter(|| {
+                kernels::simulate(&arr, &dist, Kernel::Mm, 16, CostModel::default(), mode).report
+            })
         });
     }
     group.finish();

@@ -8,6 +8,7 @@
 use hetgrid_bench::{print_table, random_times};
 use hetgrid_core::heuristic;
 use hetgrid_dist::{balance_report, PanelDist, PanelOrdering};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
 use hetgrid_sim::{kernels, Broadcast};
 use rand::rngs::StdRng;
@@ -40,6 +41,7 @@ fn main() {
         let times = random_times(p * q, &mut rng);
         let res = heuristic::solve_default(&times, p, q);
         let best = res.best();
+        let arr = &best.arrangement;
         let mut run: Vec<(f64, f64)> = Vec::new();
         for &bsz in panels {
             let d = PanelDist::from_allocation(
@@ -50,8 +52,8 @@ fn main() {
                 PanelOrdering::Interleaved,
             );
             let rep = balance_report(&d, &best.arrangement, nb, nb);
-            let sim = kernels::simulate_mm(&best.arrangement, &d, nb, cost, Broadcast::Direct);
-            run.push((rep.average_utilization, sim.makespan));
+            let sim = kernels::simulate(arr, &d, Kernel::Mm, nb, cost, Broadcast::Direct);
+            run.push((rep.average_utilization, sim.report.makespan));
         }
         let base = run.last().expect("non-empty").1;
         for (k, (u, m)) in run.into_iter().enumerate() {

@@ -101,7 +101,8 @@ impl Heterogeneity {
 mod tests {
     use super::*;
     use hetgrid_core::Arrangement;
-    use hetgrid_sim::kernels::{simulate_lu, simulate_qr};
+    use hetgrid_plan::Kernel;
+    use hetgrid_sim::kernels::{simulate, Broadcast};
     use hetgrid_sim::machine::CostModel;
     use rand::SeedableRng;
 
@@ -141,8 +142,12 @@ mod tests {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let dist = hetgrid_dist::BlockCyclic::new(2, 2);
         let cost = CostModel::zero_comm();
-        let lu = simulate_lu(&arr, &dist, 6, cost).makespan;
-        let qr = simulate_qr(&arr, &dist, 6, cost).makespan;
+        let makespan = |kernel| {
+            simulate(&arr, &dist, kernel, 6, cost, Broadcast::Direct)
+                .report
+                .makespan
+        };
+        let (lu, qr) = (makespan(Kernel::Lu), makespan(Kernel::Qr));
         assert!(qr > lu, "qr {qr} !> lu {lu}");
     }
 

@@ -114,6 +114,38 @@ impl Args {
         let q = q.parse().map_err(|_| format!("invalid grid cols: {}", q))?;
         Ok((p, q))
     }
+
+    /// A block count option (`--nb`, ...) that must be at least 1.
+    pub fn count(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_parse(key, default)? {
+            0 => Err(format!("--{} must be at least 1", key)),
+            n => Ok(n),
+        }
+    }
+
+    /// `--panel BPxBQ`, which must be at least as large as the `p x q`
+    /// grid so every processor gets a panel share; when absent, `default`
+    /// grown to the grid.
+    pub fn panel(
+        &self,
+        default: (usize, usize),
+        (p, q): (usize, usize),
+    ) -> Result<(usize, usize), String> {
+        let Some(raw) = self.get("panel") else {
+            return Ok((default.0.max(p), default.1.max(q)));
+        };
+        let (bp, bq) = raw
+            .split_once(['x', 'X'])
+            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+            .ok_or_else(|| format!("invalid --panel (want BPxBQ): {}", raw))?;
+        if bp < p || bq < q {
+            return Err(format!(
+                "--panel {}x{} is smaller than the {}x{} grid",
+                bp, bq, p, q
+            ));
+        }
+        Ok((bp, bq))
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +196,18 @@ mod tests {
     fn rejects_duplicates_and_strays() {
         assert!(Args::parse(["--a", "1", "--a", "2"].iter().map(|s| s.to_string())).is_err());
         assert!(Args::parse(["cmd", "stray"].iter().map(|s| s.to_string())).is_err());
+    }
+
+    #[test]
+    fn counts_and_panels_are_validated() {
+        let a = parse("run --nb 0 --panel 1x1");
+        assert!(a.count("nb", 8).is_err());
+        assert_eq!(a.count("block", 8).unwrap(), 8);
+        assert!(a.panel((4, 4), (2, 2)).is_err());
+        assert_eq!(a.panel((4, 4), (1, 1)).unwrap(), (1, 1));
+        assert_eq!(parse("run").panel((4, 3), (2, 2)).unwrap(), (4, 3));
+        assert_eq!(parse("run").panel((4, 4), (2, 6)).unwrap(), (4, 6));
+        assert!(parse("run --panel 4").panel((4, 4), (2, 2)).is_err());
     }
 
     #[test]

@@ -33,10 +33,11 @@ use hetgrid_core::objective::workload_matrix;
 use hetgrid_core::search::{anneal, local_search, SearchOptions};
 use hetgrid_core::{exact, heuristic, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid_harness::scenario::{general_matrix, kernel_operands};
 use hetgrid_obs::vdiag;
 use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
-use hetgrid_sim::{kernels, Broadcast, FactorKind};
+use hetgrid_sim::{kernels, Broadcast};
 use obs_out::ObsSession;
 
 fn main() {
@@ -162,13 +163,9 @@ fn cmd_adapt(args: &Args) -> Result<(), String> {
         })
         .collect::<Result<_, _>>()?;
 
-    let nb: usize = args.get_parse("nb", 32)?;
+    let nb = args.count("nb", 32)?;
     let iters: usize = args.get_parse("iters", 60)?;
-    let panel_raw = args.get("panel").unwrap_or("8x8");
-    let (bp, bq) = panel_raw
-        .split_once(['x', 'X'])
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .ok_or_else(|| format!("invalid --panel: {}", panel_raw))?;
+    let (bp, bq) = args.panel((8, 8), (p, q))?;
 
     let at: usize = args.get_parse("at", 5)?;
     let profile = match args.get("drift").unwrap_or("step") {
@@ -304,12 +301,8 @@ fn cmd_rebalance(args: &Args) -> Result<(), String> {
     if times.len() != p * q || new_times.len() != p * q {
         return Err(format!("need {} cycle-times in both pools", p * q));
     }
-    let nb: usize = args.get_parse("nb", 32)?;
-    let panel_raw = args.get("panel").unwrap_or("8x8");
-    let (bp, bq) = panel_raw
-        .split_once(['x', 'X'])
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .ok_or_else(|| format!("invalid --panel: {}", panel_raw))?;
+    let nb = args.count("nb", 32)?;
+    let (bp, bq) = args.panel((8, 8), (p, q))?;
 
     let old = heuristic::solve_default(&times, p, q);
     let new = heuristic::solve_default(&new_times, p, q);
@@ -333,20 +326,11 @@ fn cmd_rebalance(args: &Args) -> Result<(), String> {
     let moved = hetgrid_dist::redistribution::moved_fraction(&old_dist, &new_dist, nb);
     let cost = CostModel::default();
     // Both evaluated against the NEW speeds (the machine has drifted).
-    let stale = kernels::simulate_mm(
-        &new_best.arrangement,
-        &old_dist,
-        nb,
-        cost,
-        Broadcast::Direct,
-    );
-    let fresh = kernels::simulate_mm(
-        &new_best.arrangement,
-        &new_dist,
-        nb,
-        cost,
-        Broadcast::Direct,
-    );
+    let mm = |dist: &PanelDist| {
+        let arr = &new_best.arrangement;
+        kernels::simulate(arr, dist, Kernel::Mm, nb, cost, Broadcast::Direct).report
+    };
+    let (stale, fresh) = (mm(&old_dist), mm(&new_dist));
     println!(
         "blocks moved by rebalancing : {:.1}% of the matrix",
         moved * 100.0
@@ -579,8 +563,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if times.len() != p * q {
         return Err(format!("{} times for a {}x{} grid", times.len(), p, q));
     }
-    let nb: usize = args.get_parse("nb", 8)?;
-    let r: usize = args.get_parse("block", 8)?;
+    let nb = args.count("nb", 8)?;
+    let r = args.count("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
     let kernel = parse_kernel(args, "mm")?;
     let cfg = ExecConfig {
@@ -600,11 +584,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown method: {}", other)),
     };
-    let panel_raw = args.get("panel").unwrap_or("4x4");
-    let (bp, bq) = panel_raw
-        .split_once(['x', 'X'])
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .ok_or_else(|| format!("invalid --panel: {}", panel_raw))?;
+    let (bp, bq) = args.panel((4, 4), (p, q))?;
     let dist = build_dist(args, &arr, &alloc, bp, bq)?;
     let weights = slowdown_weights(&arr);
     let n = nb * r;
@@ -632,7 +612,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
     let session = ObsSession::begin(args);
     let mut rng = StdRng::seed_from_u64(seed);
-    let (a, b) = run_operands(kernel, &mut rng, n);
+    let (a, b) = kernel_operands(kernel, &mut rng, n);
 
     // `--crash PROC@STEP` routes the run through the elastic-grid
     // recovery driver: the named processor is killed at that retirement
@@ -793,8 +773,8 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
             worker_mem
         ));
     }
-    let nb: usize = args.get_parse("nb", 8)?;
-    let r: usize = args.get_parse("block", 8)?;
+    let nb = args.count("nb", 8)?;
+    let r = args.count("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
     let cfg = ExecConfig {
         lookahead: args.get_parse("lookahead", DEFAULT_LOOKAHEAD)?,
@@ -819,8 +799,8 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
 
     let session = ObsSession::begin(args);
     let mut rng = StdRng::seed_from_u64(seed);
-    let a = random_matrix(&mut rng, n, n);
-    let b = random_matrix(&mut rng, n, n);
+    let a = general_matrix(&mut rng, n, n);
+    let b = general_matrix(&mut rng, n, n);
     let (c, report) = run_star_mm_on_cfg(
         &ChannelTransport,
         &a,
@@ -881,50 +861,10 @@ fn finish_flight(armed: bool) {
     }
 }
 
-/// A dense matrix with entries in `[-1, 1)`.
-fn random_matrix(rng: &mut impl rand::Rng, rows: usize, cols: usize) -> hetgrid_linalg::Matrix {
-    hetgrid_linalg::Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
-}
-
-/// A diagonally dominant matrix (safe for LU without pivoting).
-fn dominant_matrix(rng: &mut impl rand::Rng, n: usize) -> hetgrid_linalg::Matrix {
-    let mut m = random_matrix(rng, n, n);
-    for i in 0..n {
-        m[(i, i)] += 2.0 * n as f64;
-    }
-    m
-}
-
-/// A symmetric positive definite matrix (`B^T B` plus a diagonal
-/// shift).
-fn spd_matrix(rng: &mut impl rand::Rng, n: usize) -> hetgrid_linalg::Matrix {
-    let b = random_matrix(rng, n, n);
-    let mut a = hetgrid_linalg::gemm::matmul(&b.transpose(), &b);
-    for i in 0..n {
-        a[(i, i)] += n as f64;
-    }
-    a
-}
-
 /// `--kernel`, or `default` when absent.
 fn parse_kernel(args: &Args, default: &str) -> Result<Kernel, String> {
     let name = args.get("kernel").unwrap_or(default);
     Kernel::parse(name).ok_or_else(|| format!("unknown kernel: {} (mm, lu, cholesky or qr)", name))
-}
-
-/// `hetgrid run`'s operands for `kernel`: random for MM (both
-/// operands) and QR, diagonally dominant for LU, SPD for Cholesky.
-fn run_operands(
-    kernel: Kernel,
-    rng: &mut impl rand::Rng,
-    n: usize,
-) -> (hetgrid_linalg::Matrix, Option<hetgrid_linalg::Matrix>) {
-    match kernel {
-        Kernel::Mm => (random_matrix(rng, n, n), Some(random_matrix(rng, n, n))),
-        Kernel::Lu => (dominant_matrix(rng, n), None),
-        Kernel::Cholesky => (spd_matrix(rng, n), None),
-        Kernel::Qr => (random_matrix(rng, n, n), None),
-    }
 }
 
 /// The residual line `hetgrid run` prints for `kernel`'s gathered
@@ -970,11 +910,7 @@ fn cmd_distribute(args: &Args) -> Result<(), String> {
     if times.len() != p * q {
         return Err(format!("{} times for a {}x{} grid", times.len(), p, q));
     }
-    let panel_raw = args.get("panel").unwrap_or("8x8");
-    let (bp, bq) = panel_raw
-        .split_once(['x', 'X'])
-        .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
-        .ok_or_else(|| format!("invalid --panel (want BPxBQ): {}", panel_raw))?;
+    let (bp, bq) = args.panel((8, 8), (p, q))?;
 
     let res = heuristic::solve_default(&times, p, q);
     let best = res.best();
@@ -1011,14 +947,15 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     if times.len() != p * q {
         return Err(format!("{} times for a {}x{} grid", times.len(), p, q));
     }
-    let nb: usize = args.get_parse("nb", 32)?;
+    let nb = args.count("nb", 32)?;
     let kernel = parse_kernel(args, "mm")?;
     let network = match args.get("network").unwrap_or("switched") {
         "switched" => Network::Switched,
         "bus" | "ethernet" => Network::SharedBus,
         other => return Err(format!("unknown network: {}", other)),
     };
-    let broadcast = match args.get("broadcast").unwrap_or("direct") {
+    let broadcast_name = args.get("broadcast").unwrap_or("direct");
+    let broadcast = match broadcast_name {
         "direct" => Broadcast::Direct,
         "ring" => Broadcast::Ring,
         "tree" => Broadcast::Tree,
@@ -1036,17 +973,19 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let panel = (2 * p).max(4);
     let dist = build_dist(args, &best.arrangement, &best.alloc, panel, (2 * q).max(4))?;
 
+    if broadcast != Broadcast::Direct {
+        if kernel == Kernel::Cholesky {
+            return Err("cholesky simulates direct broadcasts only (--broadcast direct)".into());
+        }
+        if !dist.is_cartesian() {
+            return Err(format!(
+                "--broadcast {} needs a Cartesian distribution (scheme panel or cyclic)",
+                broadcast_name
+            ));
+        }
+    }
     let (arr, dist) = (&best.arrangement, dist.as_ref());
-    let run = match kernel {
-        Kernel::Mm => kernels::simulate_mm_traced(arr, dist, nb, cost, broadcast),
-        Kernel::Lu => {
-            kernels::simulate_factor_traced(arr, dist, nb, cost, FactorKind::Lu, broadcast)
-        }
-        Kernel::Qr => {
-            kernels::simulate_factor_traced(arr, dist, nb, cost, FactorKind::Qr, broadcast)
-        }
-        Kernel::Cholesky => kernels::simulate_cholesky_traced(arr, dist, nb, cost),
-    };
+    let run = kernels::simulate(arr, dist, kernel, nb, cost, broadcast);
     let report = run.report.clone();
     println!(
         "kernel {} on {}x{} blocks, scheme {}, network {:?}, broadcast {:?}",

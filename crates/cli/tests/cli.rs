@@ -150,6 +150,56 @@ fn bad_input_fails_cleanly() {
     assert!(stderr.contains("unknown kernel"));
 }
 
+/// Bad input the subcommands once panicked on or silently ignored: each
+/// must exit 2 with an `error:` line and no panic.
+#[test]
+fn rejected_input_exits_2_without_panicking() {
+    let grid = ["--times", "1,2,3,5", "--grid", "2x2"];
+    let kl_ring = [
+        "simulate",
+        "--times",
+        "1,2,3,5,1.5,2.5",
+        "--grid",
+        "2x3",
+        "--scheme",
+        "kl",
+        "--broadcast",
+        "ring",
+    ];
+    let kl_lu_tree = [
+        "simulate",
+        "--times",
+        "1,2,3,5,1.5,2.5",
+        "--grid",
+        "2x3",
+        "--scheme",
+        "kl",
+        "--kernel",
+        "lu",
+        "--broadcast",
+        "tree",
+    ];
+    let mut cases: Vec<Vec<&str>> = vec![kl_ring.to_vec(), kl_lu_tree.to_vec()];
+    for tail in [
+        &["simulate", "--kernel", "cholesky", "--broadcast", "ring"][..],
+        &["simulate", "--kernel", "cholesky", "--broadcast", "tree"],
+        &["run", "--nb", "0"],
+        &["run", "--panel", "1x1"],
+    ] {
+        cases.push([&tail[..1], &grid[..], &tail[1..]].concat());
+    }
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args(&args)
+            .output()
+            .expect("failed to launch hetgrid binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{:?}: {}", args, stderr);
+        assert!(stderr.contains("error: "), "{:?}: {}", args, stderr);
+        assert!(!stderr.contains("panicked"), "{:?}: {}", args, stderr);
+    }
+}
+
 #[test]
 fn kl_scheme_simulates() {
     let (ok, stdout, stderr) = run(&[

@@ -199,10 +199,11 @@ pub fn lu_update_lower_bound(arr: &Arrangement, dist: &dyn BlockDist, nb: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{simulate_lu, simulate_mm, Broadcast};
+    use crate::kernels::{simulate, Broadcast};
     use crate::machine::CostModel;
     use hetgrid_core::exact;
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+    use hetgrid_plan::Kernel;
 
     fn fig1_arr() -> Arrangement {
         Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]])
@@ -225,7 +226,8 @@ mod tests {
         for cost in [CostModel::zero_comm(), CostModel::default()] {
             for d in &dists {
                 let nb = 8;
-                let des = simulate_mm(&arr, d.as_ref(), nb, cost, Broadcast::Direct);
+                let des =
+                    simulate(&arr, d.as_ref(), Kernel::Mm, nb, cost, Broadcast::Direct).report;
                 let lb = mm_compute_lower_bound(&arr, d.as_ref(), nb);
                 let ub = bsp_mm(&arr, d.as_ref(), nb, cost);
                 assert!(
@@ -250,7 +252,8 @@ mod tests {
         // independent, so the DES hits the lower bound exactly.
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let des = simulate_mm(&arr, &dist, 6, CostModel::zero_comm(), Broadcast::Direct);
+        let cost = CostModel::zero_comm();
+        let des = simulate(&arr, &dist, Kernel::Mm, 6, cost, Broadcast::Direct).report;
         let lb = mm_compute_lower_bound(&arr, &dist, 6);
         assert!((des.makespan - lb).abs() < 1e-9);
     }
@@ -262,7 +265,7 @@ mod tests {
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         for cost in [CostModel::zero_comm(), CostModel::default()] {
             let nb = 16;
-            let des = simulate_lu(&arr, &panel, nb, cost);
+            let des = simulate(&arr, &panel, Kernel::Lu, nb, cost, Broadcast::Direct).report;
             let ub = bsp_lu(&arr, &panel, nb, cost);
             assert!(
                 des.makespan <= ub + 1e-9,

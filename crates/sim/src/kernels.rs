@@ -13,12 +13,15 @@
 //! emerges from the owner map itself. The Ring/Tree broadcast
 //! topologies are an interpreter concern: they re-shape each plan
 //! step's broadcasts into one pipelined transfer per grid row/column.
+//!
+//! [`simulate`] is the entry point for a [`Kernel`]; the `interpret_*`
+//! functions apply the cost model to a prebuilt plan.
 
 use crate::engine::{Engine, TaskId};
 use crate::machine::{CostModel, Machine, SimReport};
 use hetgrid_core::Arrangement;
 use hetgrid_dist::BlockDist;
-use hetgrid_plan::{Plan, Step};
+use hetgrid_plan::{cholesky_plan, factor_plan, mm_plan, Bcast, Kernel, Plan, Step};
 use std::collections::BTreeMap;
 
 /// How a block is broadcast to the processors that need it.
@@ -40,6 +43,9 @@ pub enum Broadcast {
 /// Emits a broadcast of an identical payload from `src` to `dests` (in
 /// the given order) under the Ring or Tree topology. Returns the
 /// delivering message task per destination.
+///
+/// # Panics
+/// Panics for `Broadcast::Direct`, which [`emit_direct`] handles.
 fn emit_ordered_broadcast(
     engine: &mut Engine,
     machine: &Machine<'_>,
@@ -51,12 +57,7 @@ fn emit_ordered_broadcast(
 ) -> Vec<((usize, usize), TaskId)> {
     let mut out = Vec::with_capacity(dests.len());
     match mode {
-        Broadcast::Direct => {
-            for &dst in dests {
-                let m = machine.message(engine, root_deps.clone(), src, dst, blocks);
-                out.push((dst, m));
-            }
-        }
+        Broadcast::Direct => unreachable!("direct broadcasts are aggregated by emit_direct"),
         Broadcast::Ring => {
             let mut hop_src = src;
             let mut prev: Option<TaskId> = None;
@@ -105,7 +106,7 @@ pub struct TracedRun {
     pub engine: Engine,
     /// The resulting schedule.
     pub schedule: crate::engine::Schedule,
-    /// The aggregate report (same as the `simulate_*` return value).
+    /// The aggregate makespan / busy-time report.
     pub report: SimReport,
 }
 
@@ -153,74 +154,88 @@ impl ProcState {
     }
 }
 
-/// Simulates `C = A * B` with the blocked outer-product algorithm on an
-/// `nb x nb` block matrix.
+/// Simulates `kernel` on an `nb x nb` block matrix laid out by `dist`:
+/// builds the kernel's step plan and applies the machine cost model to
+/// it. This is the one DES entry point; the `interpret_*` functions
+/// below take a prebuilt plan.
 ///
-/// At each step `k`: the owners of block column `k` of `A` broadcast
-/// horizontally, the owners of block row `k` of `B` broadcast
-/// vertically, then every processor updates all the `C` blocks it owns.
+/// Kernel to plan and interpreter:
+/// * [`Kernel::Mm`] — [`mm_plan`] through [`interpret_mm`];
+/// * [`Kernel::Lu`] — [`factor_plan`] through
+///   [`interpret_factor`] with [`FactorKind::Lu`];
+/// * [`Kernel::Qr`] — the same `factor_plan` with [`FactorKind::Qr`]:
+///   the DES models QR as LU's schedule with twice the arithmetic per
+///   block (Section 3.2), not the fan-in `qr_plan` that
+///   [`Kernel::plan`] and the executor run;
+/// * [`Kernel::Cholesky`] — [`cholesky_plan`] through
+///   [`interpret_cholesky`] (direct broadcasts only).
 ///
 /// # Panics
 /// Panics if the distribution's grid differs from the arrangement's, or
-/// `Broadcast::Ring` is requested for a non-Cartesian distribution.
-pub fn simulate_mm(
+/// a non-`Direct` broadcast is requested for [`Kernel::Cholesky`] or for
+/// a non-Cartesian distribution.
+pub fn simulate(
     arr: &Arrangement,
     dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    broadcast: Broadcast,
-) -> SimReport {
-    simulate_mm_traced(arr, dist, nb, cost, broadcast).report
-}
-
-/// General rectangular `C(m x n) = A(m x k) * B(k x n)` in block units:
-/// the same outer-product schedule over `k` steps, with all three
-/// matrices laid out by the same distribution (the paper's square case
-/// is `m = n = k`). Only direct broadcasts (the topology generalizes
-/// trivially; ring/tree stay square-only for now).
-///
-/// # Panics
-/// Panics if the grids mismatch or any dimension is zero.
-pub fn simulate_mm_rect(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    (mb, nb, kb): (usize, usize, usize),
-    cost: CostModel,
-) -> SimReport {
-    let (p, q) = dist.grid();
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "simulate_mm_rect: grid mismatch"
-    );
-    let plan = hetgrid_plan::mm_rect_plan(dist, (mb, nb, kb));
-    interpret_mm(arr, &plan, cost, Broadcast::Direct).report
-}
-
-/// [`simulate_mm`] retaining the full task graph and schedule.
-pub fn simulate_mm_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
+    kernel: Kernel,
     nb: usize,
     cost: CostModel,
     broadcast: Broadcast,
 ) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "simulate_mm: grid mismatch");
+    assert_eq!(dist.grid(), (arr.p(), arr.q()), "simulate: grid mismatch");
     if broadcast != Broadcast::Direct {
+        assert!(
+            kernel != Kernel::Cholesky,
+            "Cholesky simulates direct broadcasts only"
+        );
         assert!(
             dist.is_cartesian(),
             "ring/tree broadcasts require a Cartesian (strict-grid) distribution"
         );
     }
-    interpret_mm(arr, &hetgrid_plan::mm_plan(dist, nb), cost, broadcast)
+    match kernel {
+        Kernel::Mm => interpret_mm(arr, &mm_plan(dist, nb), cost, broadcast),
+        Kernel::Lu => {
+            interpret_factor(arr, &factor_plan(dist, nb), cost, FactorKind::Lu, broadcast)
+        }
+        Kernel::Qr => {
+            interpret_factor(arr, &factor_plan(dist, nb), cost, FactorKind::Qr, broadcast)
+        }
+        Kernel::Cholesky => interpret_cholesky(arr, &cholesky_plan(dist, nb), cost),
+    }
 }
 
-/// Applies the DES cost model to an MM step plan ([`hetgrid_plan::mm_plan`]
-/// / [`hetgrid_plan::mm_rect_plan`]).
+/// Emits a step's direct broadcasts as one aggregated message per
+/// (source, destination) pair, in pair order, each depending on `dep`
+/// of its source, and files the messages under their destination in
+/// `incoming`.
+fn emit_direct<'b>(
+    engine: &mut Engine,
+    machine: &Machine<'_>,
+    incoming: &mut BTreeMap<(usize, usize), Vec<TaskId>>,
+    bcasts: impl IntoIterator<Item = &'b Bcast>,
+    dep: impl Fn((usize, usize)) -> Option<TaskId>,
+) {
+    let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
+    for b in bcasts {
+        for &dst in &b.dests {
+            *msgs.entry((b.src, dst)).or_insert(0) += 1;
+        }
+    }
+    for (&(src, dst), &blocks) in &msgs {
+        let m = machine.message(engine, dep(src).into_iter().collect(), src, dst, blocks);
+        incoming.entry(dst).or_default().push(m);
+    }
+}
+
+/// Applies the DES cost model to an MM step plan ([`mm_plan`] /
+/// [`hetgrid_plan::mm_rect_plan`]): at each step `k` the owners of
+/// block column `k` of `A` broadcast horizontally, the owners of block
+/// row `k` of `B` broadcast vertically, then every processor updates
+/// all the `C` blocks it owns.
 ///
 /// Non-`Direct` topologies assume the plan came from a Cartesian
-/// distribution (the `simulate_mm*` wrappers enforce this).
+/// distribution ([`simulate`] enforces this).
 ///
 /// # Panics
 /// Panics if the plan's grid differs from the arrangement's or the plan
@@ -250,21 +265,10 @@ pub fn interpret_mm(
         let mut incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
         match broadcast {
             Broadcast::Direct => {
-                // Aggregate (src, dst) -> block count.
-                let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-                for b in a_bcasts.iter().chain(b_bcasts.iter()) {
-                    for &dst in &b.dests {
-                        *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                    }
-                }
-                for (&(src, dst), &blocks) in &msgs {
-                    let deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
-                    let m = machine.message(&mut engine, deps, src, dst, blocks);
-                    incoming.entry(dst).or_default().push(m);
-                }
+                let bcasts = a_bcasts.iter().chain(b_bcasts);
+                emit_direct(&mut engine, &machine, &mut incoming, bcasts, |src| {
+                    procs.get(src)
+                });
             }
             Broadcast::Ring | Broadcast::Tree => {
                 // Cartesian: one pipelined ring / binomial tree per grid
@@ -276,10 +280,7 @@ pub fn interpret_mm(
                     let src = (gi, src_col);
                     let dests: Vec<(usize, usize)> =
                         (1..q).map(|step| (gi, (src_col + step) % q)).collect();
-                    let root_deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
+                    let root_deps = procs.get(src).into_iter().collect();
                     for (dst, m) in emit_ordered_broadcast(
                         &mut engine,
                         &machine,
@@ -298,10 +299,7 @@ pub fn interpret_mm(
                     let src = (src_row, gj);
                     let dests: Vec<(usize, usize)> =
                         (1..p).map(|step| ((src_row + step) % p, gj)).collect();
-                    let root_deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
+                    let root_deps = procs.get(src).into_iter().collect();
                     for (dst, m) in emit_ordered_broadcast(
                         &mut engine,
                         &machine,
@@ -345,77 +343,17 @@ pub enum FactorKind {
     Qr,
 }
 
-/// Simulates a right-looking factorization (LU or QR) of an `nb x nb`
-/// block matrix.
+/// Applies the DES cost model to an LU-shaped factorization step plan
+/// ([`factor_plan`]); `kind` selects the arithmetic scale (QR costs
+/// twice LU per block, Section 3.2).
 ///
 /// Step `k`: factor the panel (block column `k`, rows `>= k`), broadcast
 /// the lower factor along grid rows, triangular-solve the pivot block
 /// row, broadcast it along grid columns, then rank-`r`-update the
-/// trailing submatrix.
-///
-/// # Panics
-/// Panics if the distribution's grid differs from the arrangement's.
-pub fn simulate_factor(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-) -> SimReport {
-    simulate_factor_bcast(arr, dist, nb, cost, kind, Broadcast::Direct)
-}
-
-/// [`simulate_factor`] with an explicit broadcast topology for the `L`
-/// and `U` panels (ScaLAPACK uses increasing-ring for `L` and a
-/// minimum-spanning-tree for `U`, Section 3.2.1; here one topology is
-/// applied to both).
-///
-/// # Panics
-/// Panics if the grids mismatch, or a non-`Direct` topology is used
-/// with a non-Cartesian distribution.
-pub fn simulate_factor_bcast(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-    broadcast: Broadcast,
-) -> SimReport {
-    simulate_factor_traced(arr, dist, nb, cost, kind, broadcast).report
-}
-
-/// [`simulate_factor_bcast`] retaining the full task graph and schedule.
-pub fn simulate_factor_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-    broadcast: Broadcast,
-) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "simulate_factor: grid mismatch");
-    if broadcast != Broadcast::Direct {
-        assert!(
-            dist.is_cartesian(),
-            "ring/tree broadcasts require a Cartesian (strict-grid) distribution"
-        );
-    }
-    interpret_factor(
-        arr,
-        &hetgrid_plan::factor_plan(dist, nb),
-        cost,
-        kind,
-        broadcast,
-    )
-}
-
-/// Applies the DES cost model to an LU-shaped factorization step plan
-/// ([`hetgrid_plan::factor_plan`]); `kind` selects the arithmetic scale
-/// (QR costs twice LU per block, Section 3.2).
-///
-/// Non-`Direct` topologies assume a Cartesian plan (the `simulate_*`
-/// wrappers enforce this).
+/// trailing submatrix. A non-`Direct` topology is applied to both the
+/// `L` and `U` panels (ScaLAPACK uses increasing-ring for `L` and a
+/// minimum-spanning-tree for `U`, Section 3.2.1) and assumes a
+/// Cartesian plan ([`simulate`] enforces this).
 ///
 /// # Panics
 /// Panics if the plan's grid differs from the arrangement's or the plan
@@ -481,17 +419,8 @@ pub fn interpret_factor(
         // (needed by the triangular solves).
         let mut l_incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
         if broadcast == Broadcast::Direct {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in l_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![panel_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                l_incoming.entry(dst).or_default().push(m);
-            }
+            let dep = |src| Some(panel_tasks[&src]);
+            emit_direct(&mut engine, &machine, &mut l_incoming, l_bcasts, dep);
         } else {
             // Cartesian ring/tree: one broadcast per grid row, to the
             // grid columns owning trailing block columns.
@@ -549,17 +478,8 @@ pub fn interpret_factor(
         // every owner of trailing blocks in block column bj (bi > k).
         let mut u_incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
         if broadcast == Broadcast::Direct {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in u_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![trsm_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                u_incoming.entry(dst).or_default().push(m);
-            }
+            let dep = |src| Some(trsm_tasks[&src]);
+            emit_direct(&mut engine, &machine, &mut u_incoming, u_bcasts, dep);
         } else {
             // Cartesian ring/tree: one broadcast per grid column, to the
             // grid rows owning trailing block rows.
@@ -704,18 +624,9 @@ pub fn simulate_trsv(
     finish_run_traced(&machine, engine).report
 }
 
-/// Convenience wrapper for LU.
-pub fn simulate_lu(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_factor(arr, dist, nb, cost, FactorKind::Lu)
-}
-
-/// Simulates right-looking Cholesky (`A = L L^T`, lower triangle only) —
-/// the third ScaLAPACK factorization (the paper's reference \[8]).
+/// Applies the DES cost model to a right-looking Cholesky step plan
+/// ([`cholesky_plan`]; `A = L L^T`, lower triangle only — the third
+/// ScaLAPACK factorization, the paper's reference \[8]).
 ///
 /// Step `k`: the owner of the diagonal block factors it; the owners of
 /// the panel blocks `(bi, k)`, `bi > k` triangular-solve them; each
@@ -723,36 +634,6 @@ pub fn simulate_lu(
 /// triangle* blocks in its row **and** its column (the symmetric update
 /// `A_ij -= L_ik L_jk^T` needs both factors); finally the trailing
 /// lower-triangle blocks are updated.
-///
-/// # Panics
-/// Panics if the grids mismatch.
-pub fn simulate_cholesky(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_cholesky_traced(arr, dist, nb, cost).report
-}
-
-/// [`simulate_cholesky`] retaining the full task graph and schedule.
-pub fn simulate_cholesky_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "simulate_cholesky: grid mismatch"
-    );
-    interpret_cholesky(arr, &hetgrid_plan::cholesky_plan(dist, nb), cost)
-}
-
-/// Applies the DES cost model to a Cholesky step plan
-/// ([`hetgrid_plan::cholesky_plan`]).
 ///
 /// # Panics
 /// Panics if the plan's grid differs from the arrangement's or the plan
@@ -823,20 +704,9 @@ pub fn interpret_cholesky(arr: &Arrangement, plan: &Plan, cost: CostModel) -> Tr
         // --- 4. Panel broadcast: block (bi, k) to the owners of the
         // trailing lower-triangle blocks that need it — row bi (as the
         // left factor) and column bi (as the right factor).
-        let mut incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
-        {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in panel_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![panel_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                incoming.entry(dst).or_default().push(m);
-            }
-        }
+        let mut incoming = BTreeMap::new();
+        let dep = |src| Some(panel_tasks[&src]);
+        emit_direct(&mut engine, &machine, &mut incoming, panel_bcasts, dep);
 
         // --- 5. Symmetric trailing update (lower triangle only).
         for w in trailing {
@@ -853,25 +723,27 @@ pub fn interpret_cholesky(arr: &Arrangement, plan: &Plan, cost: CostModel) -> Tr
     finish_run_traced(&machine, engine)
 }
 
-/// Convenience wrapper for QR.
-pub fn simulate_qr(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_factor(arr, dist, nb, cost, FactorKind::Qr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::Network;
     use hetgrid_core::exact;
     use hetgrid_dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+    use hetgrid_plan::mm_rect_plan;
 
     fn fig1_arr() -> Arrangement {
         Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]])
+    }
+
+    /// [`simulate`]'s report with direct broadcasts.
+    fn sim_direct(
+        arr: &Arrangement,
+        dist: &dyn BlockDist,
+        kernel: Kernel,
+        nb: usize,
+        cost: CostModel,
+    ) -> SimReport {
+        simulate(arr, dist, kernel, nb, cost, Broadcast::Direct).report
     }
 
     #[test]
@@ -880,7 +752,7 @@ mod tests {
         // updates 4 blocks per step for 4 steps -> makespan 16.
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_mm(&arr, &dist, 4, CostModel::zero_comm(), Broadcast::Direct);
+        let rep = sim_direct(&arr, &dist, Kernel::Mm, 4, CostModel::zero_comm());
         assert_eq!(rep.makespan, 16.0);
         assert!((rep.average_utilization() - 1.0).abs() < 1e-12);
     }
@@ -892,7 +764,7 @@ mod tests {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
         let nb = 4;
-        let rep = simulate_mm(&arr, &dist, nb, CostModel::zero_comm(), Broadcast::Direct);
+        let rep = sim_direct(&arr, &dist, Kernel::Mm, nb, CostModel::zero_comm());
         // 4 owned blocks * 6.0 per step * 4 steps.
         assert_eq!(rep.makespan, 4.0 * 6.0 * 4.0);
     }
@@ -905,8 +777,8 @@ mod tests {
         let cyclic = BlockCyclic::new(2, 2);
         let nb = 12;
         let cost = CostModel::default();
-        let rp = simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-        let rc = simulate_mm(&arr, &cyclic, nb, cost, Broadcast::Direct);
+        let rp = sim_direct(&arr, &panel, Kernel::Mm, nb, cost);
+        let rc = sim_direct(&arr, &cyclic, Kernel::Mm, nb, cost);
         assert!(
             rp.makespan < rc.makespan,
             "panel {} !< cyclic {}",
@@ -928,11 +800,11 @@ mod tests {
         let sol = exact::solve_arrangement(&arr);
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let cost = CostModel::default();
-        let rd = simulate_mm(&arr, &panel, 8, cost, Broadcast::Direct);
-        let rr = simulate_mm(&arr, &panel, 8, cost, Broadcast::Ring);
+        let rd = sim_direct(&arr, &panel, Kernel::Mm, 8, cost);
+        let rr = simulate(&arr, &panel, Kernel::Mm, 8, cost, Broadcast::Ring).report;
         // Both must exceed the zero-comm bound and be within 3x of each
         // other (they differ only in broadcast topology).
-        let r0 = simulate_mm(&arr, &panel, 8, CostModel::zero_comm(), Broadcast::Direct);
+        let r0 = sim_direct(&arr, &panel, Kernel::Mm, 8, CostModel::zero_comm());
         assert!(rd.makespan >= r0.makespan);
         assert!(rr.makespan >= r0.makespan);
         assert!(rd.makespan < 3.0 * rr.makespan && rr.makespan < 3.0 * rd.makespan);
@@ -943,7 +815,58 @@ mod tests {
     fn ring_on_kl_rejected() {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let kl = KlDist::new(&arr, 4, 4);
-        simulate_mm(&arr, &kl, 4, CostModel::default(), Broadcast::Ring);
+        simulate(
+            &arr,
+            &kl,
+            Kernel::Mm,
+            4,
+            CostModel::default(),
+            Broadcast::Ring,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Cholesky simulates direct broadcasts only")]
+    fn cholesky_ring_rejected() {
+        let arr = fig1_arr();
+        let cyclic = BlockCyclic::new(2, 2);
+        simulate(
+            &arr,
+            &cyclic,
+            Kernel::Cholesky,
+            4,
+            CostModel::default(),
+            Broadcast::Ring,
+        );
+    }
+
+    #[test]
+    fn simulate_runs_each_kernel_through_its_plan_and_interpreter() {
+        // Pins the kernel -> (plan, interpreter) table, including QR's
+        // model as LU's factor plan at twice the arithmetic.
+        let arr = fig1_arr();
+        let sol = exact::solve_arrangement(&arr);
+        let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Interleaved);
+        let (nb, cost) = (7, CostModel::default());
+        let key = |r: SimReport| (r.makespan, r.comm_time, r.compute_time, r.core_busy);
+        for kernel in Kernel::ALL {
+            let got = simulate(&arr, &panel, kernel, nb, cost, Broadcast::Direct).report;
+            let want = match kernel {
+                Kernel::Mm => interpret_mm(&arr, &mm_plan(&panel, nb), cost, Broadcast::Direct),
+                Kernel::Lu | Kernel::Qr => {
+                    let kind = if kernel == Kernel::Lu {
+                        FactorKind::Lu
+                    } else {
+                        FactorKind::Qr
+                    };
+                    let plan = factor_plan(&panel, nb);
+                    interpret_factor(&arr, &plan, cost, kind, Broadcast::Direct)
+                }
+                Kernel::Cholesky => interpret_cholesky(&arr, &cholesky_plan(&panel, nb), cost),
+            }
+            .report;
+            assert_eq!(key(got), key(want), "{}", kernel.name());
+        }
     }
 
     #[test]
@@ -962,8 +885,8 @@ mod tests {
             ..Default::default()
         };
         let nb = 12;
-        let rp = simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-        let rk = simulate_mm(&arr, &kl, nb, cost, Broadcast::Direct);
+        let rp = sim_direct(&arr, &panel, Kernel::Mm, nb, cost);
+        let rk = sim_direct(&arr, &kl, Kernel::Mm, nb, cost);
         assert!(
             rk.comm_time > rp.comm_time,
             "KL comm {} !> panel comm {}",
@@ -979,7 +902,7 @@ mod tests {
         // (diagonal-owner) chain and above by the sum of step maxima.
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_lu(&arr, &dist, 4, CostModel::zero_comm());
+        let rep = sim_direct(&arr, &dist, Kernel::Lu, 4, CostModel::zero_comm());
         assert!(rep.makespan > 0.0);
         let total_work: f64 = rep.core_busy.iter().flatten().sum();
         // All work must be accounted: sum over steps of panel+trsm+update
@@ -1006,8 +929,8 @@ mod tests {
         let cyclic = BlockCyclic::new(2, 2);
         let nb = 24;
         let cost = CostModel::default();
-        let rp = simulate_lu(&arr, &panel, nb, cost);
-        let rc = simulate_lu(&arr, &cyclic, nb, cost);
+        let rp = sim_direct(&arr, &panel, Kernel::Lu, nb, cost);
+        let rc = sim_direct(&arr, &cyclic, Kernel::Lu, nb, cost);
         assert!(
             rp.makespan < rc.makespan,
             "panel {} !< cyclic {}",
@@ -1020,8 +943,9 @@ mod tests {
     fn qr_costs_twice_lu_with_zero_comm() {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let lu = simulate_lu(&arr, &dist, 6, CostModel::zero_comm());
-        let qr = simulate_qr(&arr, &dist, 6, CostModel::zero_comm());
+        let zero = CostModel::zero_comm();
+        let lu = simulate(&arr, &dist, Kernel::Lu, 6, zero, Broadcast::Direct).report;
+        let qr = simulate(&arr, &dist, Kernel::Qr, 6, zero, Broadcast::Direct).report;
         assert!((qr.makespan - 2.0 * lu.makespan).abs() < 1e-9);
     }
 
@@ -1029,17 +953,17 @@ mod tests {
     fn mm_comm_increases_makespan() {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let free = simulate_mm(&arr, &dist, 6, CostModel::zero_comm(), Broadcast::Direct);
-        let costly = simulate_mm(
+        let free = sim_direct(&arr, &dist, Kernel::Mm, 6, CostModel::zero_comm());
+        let costly = sim_direct(
             &arr,
             &dist,
+            Kernel::Mm,
             6,
             CostModel {
                 latency: 2.0,
                 block_transfer: 0.5,
                 ..Default::default()
             },
-            Broadcast::Direct,
         );
         assert!(costly.makespan > free.makespan);
         assert!(costly.comm_time > 0.0);
@@ -1056,8 +980,8 @@ mod tests {
             block_transfer: 0.0,
             ..Default::default()
         };
-        let td = simulate_mm(&arr, &dist, 8, cost, Broadcast::Direct);
-        let tt = simulate_mm(&arr, &dist, 8, cost, Broadcast::Tree);
+        let td = sim_direct(&arr, &dist, Kernel::Mm, 8, cost);
+        let tt = simulate(&arr, &dist, Kernel::Mm, 8, cost, Broadcast::Tree).report;
         assert!(
             tt.makespan < td.makespan,
             "tree {} !< direct {}",
@@ -1075,7 +999,7 @@ mod tests {
         let cost = CostModel::default();
         let lb = crate::bsp::lu_update_lower_bound(&arr, &panel, nb);
         for mode in [Broadcast::Direct, Broadcast::Ring, Broadcast::Tree] {
-            let rep = simulate_factor_bcast(&arr, &panel, nb, cost, FactorKind::Lu, mode);
+            let rep = simulate(&arr, &panel, Kernel::Lu, nb, cost, mode).report;
             assert!(
                 rep.makespan >= lb - 1e-9,
                 "mode {:?} below bound: {} < {}",
@@ -1084,8 +1008,7 @@ mod tests {
                 lb
             );
             // Work is identical across modes; only comm differs.
-            let direct =
-                simulate_factor_bcast(&arr, &panel, nb, cost, FactorKind::Lu, Broadcast::Direct);
+            let direct = sim_direct(&arr, &panel, Kernel::Lu, nb, cost);
             assert!((rep.compute_time - direct.compute_time).abs() < 1e-9);
         }
     }
@@ -1095,12 +1018,12 @@ mod tests {
     fn factor_tree_on_kl_rejected() {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let kl = KlDist::new(&arr, 4, 4);
-        simulate_factor_bcast(
+        simulate(
             &arr,
             &kl,
+            Kernel::Lu,
             8,
             CostModel::default(),
-            FactorKind::Lu,
             Broadcast::Tree,
         );
     }
@@ -1117,8 +1040,8 @@ mod tests {
         let suffix =
             PanelDist::from_allocation(&arr, &sol.alloc, 8, 8, PanelOrdering::SuffixInterleaved);
         assert_eq!(prefix.per_panel_counts(), suffix.per_panel_counts());
-        let mp = simulate_lu(&arr, &prefix, nb, CostModel::zero_comm()).makespan;
-        let ms = simulate_lu(&arr, &suffix, nb, CostModel::zero_comm()).makespan;
+        let mp = sim_direct(&arr, &prefix, Kernel::Lu, nb, CostModel::zero_comm()).makespan;
+        let ms = sim_direct(&arr, &suffix, Kernel::Lu, nb, CostModel::zero_comm()).makespan;
         assert!(
             ms <= mp * 1.02,
             "suffix-interleaved {} much worse than prefix {}",
@@ -1136,7 +1059,7 @@ mod tests {
         let nb = 16;
         let cost = CostModel::default();
         let trsv = simulate_trsv(&arr, &dist, nb, cost);
-        let mm = simulate_mm(&arr, &dist, nb, cost, Broadcast::Direct);
+        let mm = sim_direct(&arr, &dist, Kernel::Mm, nb, cost);
         assert!(
             trsv.average_utilization() < 0.6,
             "trsv utilization unexpectedly high: {}",
@@ -1144,7 +1067,7 @@ mod tests {
         );
         assert!(mm.average_utilization() > trsv.average_utilization());
         // And it is far cheaper than the factorization (O(n^2) vs O(n^3)).
-        let lu = simulate_lu(&arr, &dist, nb, cost);
+        let lu = sim_direct(&arr, &dist, Kernel::Lu, nb, cost);
         assert!(trsv.makespan < lu.makespan);
     }
 
@@ -1169,7 +1092,7 @@ mod tests {
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
         let nb = 5;
-        let rep = simulate_cholesky(&arr, &dist, nb, CostModel::zero_comm());
+        let rep = sim_direct(&arr, &dist, Kernel::Cholesky, nb, CostModel::zero_comm());
         let mut expect = 0usize;
         for k in 0..nb {
             expect += 1; // diagonal
@@ -1189,8 +1112,8 @@ mod tests {
         // trailing work of LU.
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let lu = simulate_lu(&arr, &dist, 12, CostModel::zero_comm());
-        let ch = simulate_cholesky(&arr, &dist, 12, CostModel::zero_comm());
+        let lu = sim_direct(&arr, &dist, Kernel::Lu, 12, CostModel::zero_comm());
+        let ch = sim_direct(&arr, &dist, Kernel::Cholesky, 12, CostModel::zero_comm());
         assert!(
             ch.makespan < lu.makespan,
             "cholesky {} !< lu {}",
@@ -1206,8 +1129,8 @@ mod tests {
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let cyc = BlockCyclic::new(2, 2);
         let cost = CostModel::default();
-        let tp = simulate_cholesky(&arr, &panel, 24, cost);
-        let tc = simulate_cholesky(&arr, &cyc, 24, cost);
+        let tp = sim_direct(&arr, &panel, Kernel::Cholesky, 24, cost);
+        let tc = sim_direct(&arr, &cyc, Kernel::Cholesky, 24, cost);
         assert!(
             tp.makespan < tc.makespan,
             "panel {} !< cyclic {}",
@@ -1222,8 +1145,9 @@ mod tests {
         let sol = exact::solve_arrangement(&arr);
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let cost = CostModel::default();
-        let sq = simulate_mm(&arr, &panel, 8, cost, Broadcast::Direct);
-        let rect = simulate_mm_rect(&arr, &panel, (8, 8, 8), cost);
+        let sq = sim_direct(&arr, &panel, Kernel::Mm, 8, cost);
+        let plan = mm_rect_plan(&panel, (8, 8, 8));
+        let rect = interpret_mm(&arr, &plan, cost, Broadcast::Direct).report;
         assert!((sq.makespan - rect.makespan).abs() < 1e-9);
         assert!((sq.compute_time - rect.compute_time).abs() < 1e-9);
     }
@@ -1236,10 +1160,11 @@ mod tests {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
         let cost = CostModel::zero_comm();
-        let base = simulate_mm_rect(&arr, &dist, (6, 6, 4), cost);
-        let deeper = simulate_mm_rect(&arr, &dist, (6, 6, 8), cost);
+        let rect = |dims| interpret_mm(&arr, &mm_rect_plan(&dist, dims), cost, Broadcast::Direct);
+        let base = rect((6, 6, 4)).report;
+        let deeper = rect((6, 6, 8)).report;
         assert!((deeper.compute_time - 2.0 * base.compute_time).abs() < 1e-9);
-        let wider = simulate_mm_rect(&arr, &dist, (6, 12, 4), cost);
+        let wider = rect((6, 12, 4)).report;
         assert!((wider.compute_time - 2.0 * base.compute_time).abs() < 1e-9);
     }
 
@@ -1248,7 +1173,8 @@ mod tests {
         // Extreme shapes must still run and respect utilization bounds.
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_mm_rect(&arr, &dist, (16, 2, 3), CostModel::default());
+        let plan = mm_rect_plan(&dist, (16, 2, 3));
+        let rep = interpret_mm(&arr, &plan, CostModel::default(), Broadcast::Direct).report;
         assert!(rep.makespan > 0.0);
         assert!(rep.average_utilization() <= 1.0 + 1e-9);
     }
@@ -1257,7 +1183,7 @@ mod tests {
     fn single_processor_grid_mm() {
         let arr = Arrangement::from_rows(&[vec![2.0]]);
         let dist = BlockCyclic::new(1, 1);
-        let rep = simulate_mm(&arr, &dist, 3, CostModel::default(), Broadcast::Direct);
+        let rep = sim_direct(&arr, &dist, Kernel::Mm, 3, CostModel::default());
         // 9 blocks * 3 steps * t=2, no messages at all.
         assert_eq!(rep.makespan, 54.0);
         assert_eq!(rep.comm_time, 0.0);

@@ -10,9 +10,10 @@
 //! * [`machine`] — the HNOW machine model of Section 2.2: sequential
 //!   per-processor communication, Ethernet (shared bus) vs switched
 //!   networks, per-processor cycle-times;
-//! * [`kernels`] — DES interpreters over the shared [`hetgrid_plan`]
-//!   step streams (outer-product matrix multiplication, right-looking
-//!   LU/QR, Cholesky) for any [`hetgrid_dist::BlockDist`];
+//! * [`kernels`] — one DES entry point, [`kernels::simulate`], that runs
+//!   any [`hetgrid_plan::Kernel`] (outer-product matrix multiplication,
+//!   right-looking LU/QR, Cholesky) on any [`hetgrid_dist::BlockDist`]
+//!   through the interpreters of the shared [`hetgrid_plan`] step plans;
 //! * [`counts`] — closed per-processor message/work totals, folded over
 //!   the same plans (the harness's predicted-vs-observed oracle);
 //! * [`bsp`] — analytic bulk-synchronous bounds used as cross-checks.
@@ -20,12 +21,14 @@
 //! ```
 //! use hetgrid_core::Arrangement;
 //! use hetgrid_dist::BlockCyclic;
+//! use hetgrid_plan::Kernel;
 //! use hetgrid_sim::{kernels, machine::CostModel};
 //!
 //! let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
 //! let cyclic = BlockCyclic::new(2, 2);
-//! let report = kernels::simulate_mm(
-//!     &arr, &cyclic, 8, CostModel::default(), kernels::Broadcast::Direct);
+//! let report = kernels::simulate(
+//!     &arr, &cyclic, Kernel::Mm, 8, CostModel::default(), kernels::Broadcast::Direct)
+//!     .report;
 //! // Uniform block-cyclic wastes most of the fast processors' time.
 //! assert!(report.average_utilization() < 0.6);
 //! ```
@@ -54,9 +57,7 @@ pub use counts::KernelCounts;
 pub use drift::DriftProfile;
 pub use hetgrid_plan as plan;
 pub use kernels::{
-    interpret_cholesky, interpret_factor, interpret_mm, simulate_cholesky,
-    simulate_cholesky_traced, simulate_factor_bcast, simulate_factor_traced, simulate_lu,
-    simulate_mm, simulate_mm_rect, simulate_mm_traced, simulate_qr, simulate_trsv, Broadcast,
+    interpret_cholesky, interpret_factor, interpret_mm, simulate, simulate_trsv, Broadcast,
     FactorKind, TracedRun,
 };
 pub use machine::{CostModel, Network, SimReport};

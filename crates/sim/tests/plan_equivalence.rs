@@ -5,9 +5,9 @@
 //! grids, distributions, shapes, and broadcast topologies.
 //!
 //! The `legacy_*` functions below are the pre-`hetgrid-plan` bodies of
-//! `simulate_mm_traced` / `simulate_factor_traced` /
-//! `simulate_cholesky_traced`, kept verbatim (along with their private
-//! helpers) as the reference the refactor must not drift from.
+//! the traced MM, factorization and Cholesky simulators (today all
+//! reached through `kernels::simulate`), kept verbatim (along with their
+//! private helpers) as the reference the refactor must not drift from.
 
 // The legacy bodies are copied verbatim, 2D-grid idiom included, so
 // the usual crate-level allowances apply here too.
@@ -15,12 +15,10 @@
 
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid_plan::{mm_rect_plan, Kernel};
 use hetgrid_sim::engine::{Engine, TaskId};
 use hetgrid_sim::machine::{CostModel, Machine, SimReport};
-use hetgrid_sim::{
-    simulate_cholesky_traced, simulate_factor_traced, simulate_mm_rect, simulate_mm_traced,
-    Broadcast, FactorKind, TracedRun,
-};
+use hetgrid_sim::{interpret_mm, simulate, Broadcast, FactorKind, TracedRun};
 use rand::prelude::*;
 use std::collections::BTreeMap;
 
@@ -165,7 +163,7 @@ fn col_dests(
 // Verbatim pre-plan schedule generators.
 // ---------------------------------------------------------------------
 
-/// Verbatim pre-plan `simulate_mm_traced` body.
+/// Verbatim pre-plan traced MM body.
 fn legacy_mm_traced(
     arr: &Arrangement,
     dist: &dyn BlockDist,
@@ -269,7 +267,7 @@ fn legacy_mm_traced(
     finish_run_traced(&machine, engine)
 }
 
-/// Verbatim pre-plan `simulate_factor_traced` body.
+/// Verbatim pre-plan traced LU / QR body.
 fn legacy_factor_traced(
     arr: &Arrangement,
     dist: &dyn BlockDist,
@@ -453,7 +451,7 @@ fn legacy_factor_traced(
     finish_run_traced(&machine, engine)
 }
 
-/// Verbatim pre-plan `simulate_cholesky_traced` body.
+/// Verbatim pre-plan traced Cholesky body.
 fn legacy_cholesky_traced(
     arr: &Arrangement,
     dist: &dyn BlockDist,
@@ -652,7 +650,7 @@ fn mm_plan_interpretation_matches_legacy_schedules() {
             _ => Broadcast::Tree,
         };
         let (arr, dist, nb, cost) = random_case(&mut rng, bcast != Broadcast::Direct);
-        let new = simulate_mm_traced(&arr, dist.as_ref(), nb, cost, bcast);
+        let new = simulate(&arr, dist.as_ref(), Kernel::Mm, nb, cost, bcast);
         let old = legacy_mm_traced(&arr, dist.as_ref(), nb, cost, bcast);
         assert_runs_identical(&new, &old, &format!("mm case {case} ({bcast:?}, nb {nb})"));
     }
@@ -669,7 +667,13 @@ fn mm_rect_plan_interpretation_matches_legacy() {
     for _ in 0..10 {
         let (arr, dist, nb, cost) = random_case(&mut rng, false);
         let sq = legacy_mm_traced(&arr, dist.as_ref(), nb, cost, Broadcast::Direct);
-        let rect = simulate_mm_rect(&arr, dist.as_ref(), (nb, nb, nb), cost);
+        let rect = interpret_mm(
+            &arr,
+            &mm_rect_plan(dist.as_ref(), (nb, nb, nb)),
+            cost,
+            Broadcast::Direct,
+        )
+        .report;
         assert_eq!(rect.makespan, sq.report.makespan);
         assert_eq!(rect.compute_time, sq.report.compute_time);
         assert_eq!(rect.comm_time, sq.report.comm_time);
@@ -691,7 +695,14 @@ fn factor_plan_interpretation_matches_legacy_schedules() {
             FactorKind::Qr
         };
         let (arr, dist, nb, cost) = random_case(&mut rng, bcast != Broadcast::Direct);
-        let new = simulate_factor_traced(&arr, dist.as_ref(), nb, cost, kind, bcast);
+        let new = simulate(
+            &arr,
+            dist.as_ref(),
+            [Kernel::Lu, Kernel::Qr][case % 2],
+            nb,
+            cost,
+            bcast,
+        );
         let old = legacy_factor_traced(&arr, dist.as_ref(), nb, cost, kind, bcast);
         assert_runs_identical(
             &new,
@@ -706,7 +717,14 @@ fn cholesky_plan_interpretation_matches_legacy_schedules() {
     let mut rng = StdRng::seed_from_u64(0xC401);
     for case in 0..40 {
         let (arr, dist, nb, cost) = random_case(&mut rng, false);
-        let new = simulate_cholesky_traced(&arr, dist.as_ref(), nb, cost);
+        let new = simulate(
+            &arr,
+            dist.as_ref(),
+            Kernel::Cholesky,
+            nb,
+            cost,
+            Broadcast::Direct,
+        );
         let old = legacy_cholesky_traced(&arr, dist.as_ref(), nb, cost);
         assert_runs_identical(&new, &old, &format!("cholesky case {case} (nb {nb})"));
     }

@@ -6,6 +6,7 @@
 
 use hetgrid_core::{alternating, sorted_row_major};
 use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::engine::{Engine, TaskTag};
 use hetgrid_sim::machine::{CostModel, Network};
 use hetgrid_sim::trace::resource_timelines;
@@ -77,8 +78,8 @@ proptest! {
         let dist = BlockCyclic::new(2, 2);
         let base = CostModel { latency: lat, block_transfer: 0.01, ..Default::default() };
         let more = CostModel { latency: lat + 0.5, ..base };
-        let m0 = kernels::simulate_mm(&arr, &dist, 8, base, Broadcast::Direct).makespan;
-        let m1 = kernels::simulate_mm(&arr, &dist, 8, more, Broadcast::Direct).makespan;
+        let m0 = kernels::simulate(&arr, &dist, Kernel::Mm, 8, base, Broadcast::Direct).report.makespan;
+        let m1 = kernels::simulate(&arr, &dist, Kernel::Mm, 8, more, Broadcast::Direct).report.makespan;
         // Greedy list scheduling admits small Graham-style anomalies, so
         // allow a 5% slack rather than strict monotonicity.
         prop_assert!(m1 >= 0.95 * m0, "latency increase reduced makespan: {} -> {}", m0, m1);
@@ -90,9 +91,9 @@ proptest! {
         let alt = alternating::optimize(&arr, 10_000);
         let d = PanelDist::from_allocation(&arr, &alt.alloc, 4, 4, PanelOrdering::Interleaved);
         for rep in [
-            kernels::simulate_mm(&arr, &d, nb, CostModel::default(), Broadcast::Direct),
-            kernels::simulate_lu(&arr, &d, nb, CostModel::default()),
-            kernels::simulate_cholesky(&arr, &d, nb, CostModel::default()),
+            kernels::simulate(&arr, &d, Kernel::Mm, nb, CostModel::default(), Broadcast::Direct).report,
+            kernels::simulate(&arr, &d, Kernel::Lu, nb, CostModel::default(), Broadcast::Direct).report,
+            kernels::simulate(&arr, &d, Kernel::Cholesky, nb, CostModel::default(), Broadcast::Direct).report,
         ] {
             prop_assert!(rep.average_utilization() <= 1.0 + 1e-9);
             prop_assert!(rep.average_utilization() > 0.0);
@@ -110,9 +111,9 @@ proptest! {
         let arr = sorted_row_major(&times, 2, 2);
         let dist = BlockCyclic::new(2, 2);
         let cost = CostModel::default();
-        let base = kernels::simulate_mm(&arr, &dist, nb, cost, Broadcast::Direct);
+        let base = kernels::simulate(&arr, &dist, Kernel::Mm, nb, cost, Broadcast::Direct).report;
         for mode in [Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, &dist, nb, cost, mode);
+            let rep = kernels::simulate(&arr, &dist, Kernel::Mm, nb, cost, mode).report;
             prop_assert!((rep.compute_time - base.compute_time).abs() < 1e-9);
         }
     }
@@ -124,7 +125,7 @@ proptest! {
         let d = PanelDist::from_allocation(&arr, &alt.alloc, 4, 4, PanelOrdering::Interleaved);
         let lb = bsp::mm_compute_lower_bound(&arr, &d, nb);
         for mode in [Broadcast::Direct, Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, &d, nb, CostModel::default(), mode);
+            let rep = kernels::simulate(&arr, &d, Kernel::Mm, nb, CostModel::default(), mode).report;
             prop_assert!(rep.makespan >= lb - 1e-9);
         }
     }
@@ -135,8 +136,8 @@ proptest! {
         let dist = BlockCyclic::new(2, 2);
         let sw = CostModel { network: Network::Switched, ..Default::default() };
         let bus = CostModel { network: Network::SharedBus, ..Default::default() };
-        let m_sw = kernels::simulate_mm(&arr, &dist, nb, sw, Broadcast::Direct).makespan;
-        let m_bus = kernels::simulate_mm(&arr, &dist, nb, bus, Broadcast::Direct).makespan;
+        let m_sw = kernels::simulate(&arr, &dist, Kernel::Mm, nb, sw, Broadcast::Direct).report.makespan;
+        let m_bus = kernels::simulate(&arr, &dist, Kernel::Mm, nb, bus, Broadcast::Direct).report.makespan;
         // 5% slack for list-scheduling anomalies (see above).
         prop_assert!(m_bus >= 0.95 * m_sw, "bus {} < switched {}", m_bus, m_sw);
     }
@@ -145,8 +146,8 @@ proptest! {
     fn qr_exactly_doubles_lu_without_comm(times in times_strategy(4), nb in 2usize..10) {
         let arr = sorted_row_major(&times, 2, 2);
         let dist = BlockCyclic::new(2, 2);
-        let lu = kernels::simulate_lu(&arr, &dist, nb, CostModel::zero_comm());
-        let qr = kernels::simulate_qr(&arr, &dist, nb, CostModel::zero_comm());
+        let lu = kernels::simulate(&arr, &dist, Kernel::Lu, nb, CostModel::zero_comm(), Broadcast::Direct).report;
+        let qr = kernels::simulate(&arr, &dist, Kernel::Qr, nb, CostModel::zero_comm(), Broadcast::Direct).report;
         prop_assert!((qr.makespan - 2.0 * lu.makespan).abs() < 1e-9 * qr.makespan.max(1.0));
     }
 }
@@ -188,16 +189,16 @@ proptest! {
         let d = ScrambledDist { p: 2, q: 2, salt };
         // MM, LU and Cholesky must all run, respect bounds, and account
         // for all the work even on a structureless owner map.
-        let mm = kernels::simulate_mm(&arr, &d, nb, CostModel::default(), Broadcast::Direct);
+        let mm = kernels::simulate(&arr, &d, Kernel::Mm, nb, CostModel::default(), Broadcast::Direct).report;
         prop_assert!(mm.makespan >= bsp::mm_compute_lower_bound(&arr, &d, nb) - 1e-9);
         prop_assert!(mm.makespan <= bsp::bsp_mm(&arr, &d, nb, CostModel::default()) + 1e-9);
-        let lu = kernels::simulate_lu(&arr, &d, nb, CostModel::zero_comm());
+        let lu = kernels::simulate(&arr, &d, Kernel::Lu, nb, CostModel::zero_comm(), Broadcast::Direct).report;
         let total: f64 = lu.core_busy.iter().flatten().sum();
         // LU total work with t-weighting: sum over owned blocks of each
         // phase; just check it is positive and utilization is sane.
         prop_assert!(total > 0.0);
         prop_assert!(lu.average_utilization() <= 1.0 + 1e-9);
-        let ch = kernels::simulate_cholesky(&arr, &d, nb, CostModel::default());
+        let ch = kernels::simulate(&arr, &d, Kernel::Cholesky, nb, CostModel::default(), Broadcast::Direct).report;
         prop_assert!(ch.makespan <= lu.makespan + ch.comm_time + ch.makespan, "sanity");
     }
 }

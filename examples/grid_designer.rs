@@ -14,6 +14,7 @@
 use hetgrid::core::{exact, heuristic, rank1};
 use hetgrid::dist::{PanelDist, PanelOrdering};
 use hetgrid::sim::machine::{CostModel, Network};
+use hetgrid::sim::plan::Kernel;
 use hetgrid::sim::{kernels, Broadcast};
 
 fn main() {
@@ -71,7 +72,15 @@ fn main() {
             (2 * q).max(4),
             PanelOrdering::Interleaved,
         );
-        let sim = kernels::simulate_mm(&b.arrangement, &panel, nb, cost, Broadcast::Direct);
+        let sim = kernels::simulate(
+            &b.arrangement,
+            &panel,
+            Kernel::Mm,
+            nb,
+            cost,
+            Broadcast::Direct,
+        )
+        .report;
         println!(
             "{:<8} {:>12.4} {:>11.1}% {:>8} {:>12} {:>12.0}",
             format!("{}x{}", p, q),

@@ -9,8 +9,9 @@
 //! ```
 
 use hetgrid::core::heuristic;
-use hetgrid::dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+use hetgrid::dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid::sim::machine::{CostModel, Network};
+use hetgrid::sim::plan::Kernel;
 use hetgrid::sim::{kernels, Broadcast};
 
 /// Effective cycle-time of a processor with `load` background jobs of
@@ -59,9 +60,19 @@ fn main() {
         );
         let kl = KlDist::new(&best.arrangement, 12, 12);
 
-        let t_cyc = kernels::simulate_lu(&best.arrangement, &cyclic, nb, cost).makespan;
-        let t_panel = kernels::simulate_lu(&best.arrangement, &panel, nb, cost).makespan;
-        let t_kl = kernels::simulate_lu(&best.arrangement, &kl, nb, cost).makespan;
+        let lu = |d: &dyn BlockDist| {
+            kernels::simulate(
+                &best.arrangement,
+                d,
+                Kernel::Lu,
+                nb,
+                cost,
+                Broadcast::Direct,
+            )
+            .report
+            .makespan
+        };
+        let (t_cyc, t_panel, t_kl) = (lu(&cyclic), lu(&panel), lu(&kl));
         println!(
             "{:<12} {:>14.0} {:>14.0} {:>14.0} {:>9.2}x",
             match e {
@@ -105,22 +116,19 @@ fn main() {
         12,
         PanelOrdering::Interleaved,
     );
-    let t_stale = kernels::simulate_mm(
-        &fresh_best.arrangement,
-        &stale_panel,
-        nb,
-        cost,
-        Broadcast::Direct,
-    )
-    .makespan;
-    let t_fresh = kernels::simulate_mm(
-        &fresh_best.arrangement,
-        &fresh_panel,
-        nb,
-        cost,
-        Broadcast::Direct,
-    )
-    .makespan;
+    let mm = |d: &dyn BlockDist| {
+        kernels::simulate(
+            &fresh_best.arrangement,
+            d,
+            Kernel::Mm,
+            nb,
+            cost,
+            Broadcast::Direct,
+        )
+        .report
+        .makespan
+    };
+    let (t_stale, t_fresh) = (mm(&stale_panel), mm(&fresh_panel));
     println!(
         "\nMM with stale (uniform) shares under afternoon load: {:.0} vs fresh shares {:.0} ({:.2}x)",
         t_stale,

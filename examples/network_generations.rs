@@ -21,7 +21,7 @@ use hetgrid::sim::trace::{ascii_gantt, grid_labels};
 /// A hand-rolled MM step loop with per-processor NIC factors (the
 /// kernels module uses uniform NICs; this example drives the machine
 /// layer directly to show the extension).
-fn simulate_mm_with_nics(
+fn mm_with_nics(
     arr: &hetgrid::core::Arrangement,
     dist: &dyn hetgrid::dist::BlockDist,
     nb: usize,
@@ -122,8 +122,8 @@ fn main() {
     println!("arrangement:\n{}", best.arrangement);
     println!("NIC slowdown factors: {:?}\n", nic_factors);
 
-    let uniform = simulate_mm_with_nics(&best.arrangement, &panel, nb, cost, vec![1.0; 4]);
-    let mixed = simulate_mm_with_nics(&best.arrangement, &panel, nb, cost, nic_factors);
+    let uniform = mm_with_nics(&best.arrangement, &panel, nb, cost, vec![1.0; 4]);
+    let mixed = mm_with_nics(&best.arrangement, &panel, nb, cost, nic_factors);
 
     for (name, run) in [("uniform NICs", &uniform), ("mixed NICs  ", &mixed)] {
         let a = analyze(run, 2, 2);

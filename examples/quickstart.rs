@@ -11,7 +11,8 @@
 //! it against plain ScaLAPACK block-cyclic in the simulator.
 
 use hetgrid::core::{exact, heuristic};
-use hetgrid::dist::{balance_report, BlockCyclic, PanelDist, PanelOrdering};
+use hetgrid::dist::{balance_report, BlockCyclic, BlockDist, PanelDist, PanelOrdering};
+use hetgrid::sim::plan::Kernel;
 use hetgrid::sim::{kernels, machine::CostModel, Broadcast};
 
 fn main() {
@@ -55,10 +56,19 @@ fn main() {
     let nb = 48;
     let cost = CostModel::default();
     let cyclic = BlockCyclic::new(2, 2);
-    let t_cyclic =
-        kernels::simulate_mm(&best.arrangement, &cyclic, nb, cost, Broadcast::Direct).makespan;
-    let t_panel =
-        kernels::simulate_mm(&best.arrangement, &panel, nb, cost, Broadcast::Direct).makespan;
+    let mm = |d: &dyn BlockDist| {
+        kernels::simulate(
+            &best.arrangement,
+            d,
+            Kernel::Mm,
+            nb,
+            cost,
+            Broadcast::Direct,
+        )
+        .report
+        .makespan
+    };
+    let (t_cyclic, t_panel) = (mm(&cyclic), mm(&panel));
     println!("\nsimulated MM makespan, {0}x{0} blocks:", nb);
     println!("  uniform block-cyclic : {:.0}", t_cyclic);
     println!("  heterogeneous panels : {:.0}", t_panel);

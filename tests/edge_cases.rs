@@ -7,6 +7,7 @@ use hetgrid::core::heuristic::{self, HeuristicOptions, NormalizeMode};
 use hetgrid::core::{exact, Arrangement};
 use hetgrid::dist::{redistribution, BlockDist, ElementMap, KlDist, PanelDist, PanelOrdering};
 use hetgrid::sim::machine::CostModel;
+use hetgrid::sim::plan::Kernel;
 use hetgrid::sim::{kernels, Broadcast};
 
 #[test]
@@ -124,10 +125,11 @@ fn simulation_with_one_block_matrix() {
     // nb = 1: a single block; only its owner works.
     let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
     let d = hetgrid::dist::BlockCyclic::new(2, 2);
-    let rep = kernels::simulate_mm(&arr, &d, 1, CostModel::default(), Broadcast::Direct);
+    let cost = CostModel::default();
+    let rep = kernels::simulate(&arr, &d, Kernel::Mm, 1, cost, Broadcast::Direct).report;
     assert_eq!(rep.comm_time, 0.0);
     assert!((rep.makespan - arr.time(0, 0)).abs() < 1e-12);
-    let lu = kernels::simulate_lu(&arr, &d, 1, CostModel::default());
+    let lu = kernels::simulate(&arr, &d, Kernel::Lu, 1, cost, Broadcast::Direct).report;
     assert!((lu.makespan - arr.time(0, 0)).abs() < 1e-12);
 }
 
@@ -153,7 +155,8 @@ fn des_handles_large_task_graphs() {
         vec![0.35, 0.55, 0.75, 0.95],
     ]);
     let d = hetgrid::dist::BlockCyclic::new(4, 4);
-    let rep = kernels::simulate_lu(&arr, &d, 96, CostModel::default());
+    let cost = CostModel::default();
+    let rep = kernels::simulate(&arr, &d, Kernel::Lu, 96, cost, Broadcast::Direct).report;
     assert!(rep.makespan > 0.0);
     assert!(rep.average_utilization() <= 1.0 + 1e-9);
 }

@@ -8,6 +8,7 @@ use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid::linalg::Matrix;
 use hetgrid::sim::machine::{CostModel, Network};
+use hetgrid::sim::plan::Kernel;
 use hetgrid::sim::{bsp, kernels, Broadcast};
 
 fn random_matrix(n: usize, seed: u64, dominant: bool) -> Matrix {
@@ -58,14 +59,18 @@ fn paper_pipeline_2x2() {
 
     // Dynamic (simulated) behaviour agrees.
     let cost = CostModel::default();
-    let t_panel = kernels::simulate_mm(&best.arrangement, &panel, 24, cost, Broadcast::Direct);
-    let t_cyc = kernels::simulate_mm(
-        &best.arrangement,
-        &BlockCyclic::new(2, 2),
-        24,
-        cost,
-        Broadcast::Direct,
-    );
+    let mm = |d: &dyn BlockDist| {
+        kernels::simulate(
+            &best.arrangement,
+            d,
+            Kernel::Mm,
+            24,
+            cost,
+            Broadcast::Direct,
+        )
+        .report
+    };
+    let (t_panel, t_cyc) = (mm(&panel), mm(&BlockCyclic::new(2, 2)));
     assert!(t_panel.makespan < t_cyc.makespan);
 
     // Real threaded execution produces the right numbers.
@@ -103,22 +108,20 @@ fn simulator_consistent_with_static_balance() {
         let nb = 18;
         let static_ratio = balance_report(&cyc, &best.arrangement, nb, nb).makespan
             / balance_report(&panel, &best.arrangement, nb, nb).makespan;
-        let sim_ratio = kernels::simulate_mm(
-            &best.arrangement,
-            &cyc,
-            nb,
-            CostModel::zero_comm(),
-            Broadcast::Direct,
-        )
-        .makespan
-            / kernels::simulate_mm(
+        let mm = |d: &dyn BlockDist| {
+            let cost = CostModel::zero_comm();
+            kernels::simulate(
                 &best.arrangement,
-                &panel,
+                d,
+                Kernel::Mm,
                 nb,
-                CostModel::zero_comm(),
+                cost,
                 Broadcast::Direct,
             )
-            .makespan;
+            .report
+            .makespan
+        };
+        let sim_ratio = mm(&cyc) / mm(&panel);
         // With zero communication the simulated ratio equals the static
         // one (both are pure per-processor work maxima).
         assert!(
@@ -156,8 +159,8 @@ fn kl_tradeoff_emerges_in_simulation() {
         network: Network::SharedBus,
         ..Default::default()
     };
-    let t_panel = kernels::simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-    let t_kl = kernels::simulate_mm(&arr, &kl, nb, cost, Broadcast::Direct);
+    let t_panel = kernels::simulate(&arr, &panel, Kernel::Mm, nb, cost, Broadcast::Direct).report;
+    let t_kl = kernels::simulate(&arr, &kl, Kernel::Mm, nb, cost, Broadcast::Direct).report;
     assert!(
         t_kl.comm_time > t_panel.comm_time,
         "KL comm {} <= panel comm {}",
@@ -178,8 +181,9 @@ fn lu_pipeline_fig4() {
 
     // Simulated LU: panel beats cyclic.
     let cost = CostModel::default();
-    let t_panel = kernels::simulate_lu(&arr, &panel, 24, cost);
-    let t_cyc = kernels::simulate_lu(&arr, &BlockCyclic::new(2, 2), 24, cost);
+    let t_panel = kernels::simulate(&arr, &panel, Kernel::Lu, 24, cost, Broadcast::Direct).report;
+    let cyclic = BlockCyclic::new(2, 2);
+    let t_cyc = kernels::simulate(&arr, &cyclic, Kernel::Lu, 24, cost, Broadcast::Direct).report;
     assert!(t_panel.makespan < t_cyc.makespan);
 
     // DES stays below the analytic BSP bound.
@@ -208,7 +212,8 @@ fn objective_predicts_simulated_makespan() {
     hetgrid::core::enumerate_nondecreasing(&times, 2, 3, |arr| {
         let sol = exact::solve_arrangement(arr);
         let panel = PanelDist::from_allocation(arr, &sol.alloc, 12, 12, PanelOrdering::Interleaved);
-        let t = kernels::simulate_mm(arr, &panel, 24, CostModel::zero_comm(), Broadcast::Direct);
+        let cost = CostModel::zero_comm();
+        let t = kernels::simulate(arr, &panel, Kernel::Mm, 24, cost, Broadcast::Direct).report;
         all.push((sol.obj2, t.makespan));
     });
     assert!(all.len() >= 3);

@@ -6,7 +6,8 @@
 use hetgrid::core::{exact, heuristic, Arrangement};
 use hetgrid::dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid::sim::machine::{CostModel, Network};
-use hetgrid::sim::{bsp, kernels, Broadcast, FactorKind};
+use hetgrid::sim::plan::Kernel;
+use hetgrid::sim::{bsp, kernels, Broadcast};
 
 fn strategies(arr: &Arrangement) -> Vec<(&'static str, Box<dyn BlockDist + Sync>)> {
     let sol = exact::solve_arrangement(arr);
@@ -63,7 +64,7 @@ fn full_matrix_of_kernels_distributions_networks() {
         for (name, dist) in strategies(&arr) {
             let d = dist.as_ref();
             // --- MM: bracketed by the compute bound and the BSP bound.
-            let mm = kernels::simulate_mm(&arr, d, nb, cost, Broadcast::Direct);
+            let mm = kernels::simulate(&arr, d, Kernel::Mm, nb, cost, Broadcast::Direct).report;
             let lb = bsp::mm_compute_lower_bound(&arr, d, nb);
             let ub = bsp::bsp_mm(&arr, d, nb, cost);
             assert!(
@@ -78,15 +79,8 @@ fn full_matrix_of_kernels_distributions_networks() {
             assert!(mm.average_utilization() <= 1.0 + 1e-9);
 
             // --- LU and QR: QR is exactly twice LU in compute.
-            let lu = kernels::simulate_lu(&arr, d, nb, cost);
-            let qr = kernels::simulate_factor_bcast(
-                &arr,
-                d,
-                nb,
-                cost,
-                FactorKind::Qr,
-                Broadcast::Direct,
-            );
+            let lu = kernels::simulate(&arr, d, Kernel::Lu, nb, cost, Broadcast::Direct).report;
+            let qr = kernels::simulate(&arr, d, Kernel::Qr, nb, cost, Broadcast::Direct).report;
             assert!(
                 (qr.compute_time - 2.0 * lu.compute_time).abs() < 1e-6 * qr.compute_time,
                 "{}/{:?}: QR compute {} != 2x LU {}",
@@ -99,7 +93,8 @@ fn full_matrix_of_kernels_distributions_networks() {
 
             // --- Cholesky: strictly less compute than LU (half the
             // trailing updates), same comm structure family.
-            let ch = kernels::simulate_cholesky(&arr, d, nb, cost);
+            let ch =
+                kernels::simulate(&arr, d, Kernel::Cholesky, nb, cost, Broadcast::Direct).report;
             assert!(
                 ch.compute_time < lu.compute_time,
                 "{}/{:?}: Cholesky compute {} !< LU {}",
@@ -111,17 +106,12 @@ fn full_matrix_of_kernels_distributions_networks() {
 
             // --- Conservation: every kernel accounts the same compute
             // on every network (network only affects comm).
-            let mm_sw = kernels::simulate_mm(
-                &arr,
-                d,
-                nb,
-                CostModel {
-                    network: Network::Switched,
-                    ..cost
-                },
-                Broadcast::Direct,
-            );
-            assert!((mm_sw.compute_time - mm.compute_time).abs() < 1e-9);
+            let switched = CostModel {
+                network: Network::Switched,
+                ..cost
+            };
+            let mm_sw = kernels::simulate(&arr, d, Kernel::Mm, nb, switched, Broadcast::Direct);
+            assert!((mm_sw.report.compute_time - mm.compute_time).abs() < 1e-9);
         }
     }
 }
@@ -138,16 +128,16 @@ fn cartesian_strategies_support_all_broadcasts() {
         if !d.is_cartesian() {
             continue;
         }
-        let direct = kernels::simulate_mm(&arr, d, nb, cost, Broadcast::Direct);
+        let direct = kernels::simulate(&arr, d, Kernel::Mm, nb, cost, Broadcast::Direct).report;
         for mode in [Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, d, nb, cost, mode);
+            let rep = kernels::simulate(&arr, d, Kernel::Mm, nb, cost, mode).report;
             assert!(
                 (rep.compute_time - direct.compute_time).abs() < 1e-9,
                 "{}: compute differs under {:?}",
                 name,
                 mode
             );
-            let lu = kernels::simulate_factor_bcast(&arr, d, nb, cost, FactorKind::Lu, mode);
+            let lu = kernels::simulate(&arr, d, Kernel::Lu, nb, cost, mode).report;
             assert!(lu.makespan > 0.0);
         }
     }
@@ -166,25 +156,17 @@ fn balance_ordering_is_consistent_across_layers() {
     let nb = 16;
     let cost = CostModel::zero_comm();
 
-    let pairs: Vec<(f64, f64)> = vec![
-        (
-            kernels::simulate_mm(&arr, &cyc, nb, cost, Broadcast::Direct).makespan,
-            kernels::simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct).makespan,
-        ),
-        (
-            kernels::simulate_lu(&arr, &cyc, nb, cost).makespan,
-            kernels::simulate_lu(&arr, &panel, nb, cost).makespan,
-        ),
-        (
-            kernels::simulate_cholesky(&arr, &cyc, nb, cost).makespan,
-            kernels::simulate_cholesky(&arr, &panel, nb, cost).makespan,
-        ),
-    ];
-    for (k, (cyclic, heterogeneous)) in pairs.iter().enumerate() {
+    let makespan = |kernel, d: &dyn BlockDist| {
+        kernels::simulate(&arr, d, kernel, nb, cost, Broadcast::Direct)
+            .report
+            .makespan
+    };
+    for kernel in [Kernel::Mm, Kernel::Lu, Kernel::Cholesky] {
+        let (cyclic, heterogeneous) = (makespan(kernel, &cyc), makespan(kernel, &panel));
         assert!(
             heterogeneous < cyclic,
             "kernel {}: panel {} !< cyclic {}",
-            k,
+            kernel.name(),
             heterogeneous,
             cyclic
         );
