@@ -54,7 +54,7 @@ pub fn run_cholesky_on_cfg(
     cfg: ExecConfig,
 ) -> Result<(Matrix, ExecReport), ExecError> {
     let da = DistributedMatrix::scatter(a, dist, nb, r);
-    let (stores, report) = cholesky_seg(transport, &da, dist, weights, cfg, 0, None)?;
+    let (stores, report) = cholesky_seg(transport, da, dist, weights, cfg, 0, None)?;
     Ok((gather_cholesky(stores, nb, r), report))
 }
 
@@ -65,7 +65,7 @@ pub fn run_cholesky_on_cfg(
 /// Returns the raw per-processor stores; [`gather_cholesky`] folds them.
 pub(crate) fn cholesky_seg(
     transport: &impl Transport,
-    da: &DistributedMatrix,
+    da: DistributedMatrix,
     dist: &(dyn BlockDist + Sync),
     weights: &[Vec<u64>],
     cfg: ExecConfig,
@@ -86,26 +86,32 @@ pub(crate) fn cholesky_seg(
         })
         .collect();
 
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = ChInterp {
-            plan: &plan,
-            my: (me / q, me % q),
-            owned: &owned[me],
-            blocks: da.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.blocks)
-    })
+    run_grid(
+        transport,
+        (p, q),
+        weights,
+        da.stores,
+        |me, blocks, courier, clock| {
+            let mut interp = ChInterp {
+                plan: &plan,
+                my: (me / q, me % q),
+                owned: &owned[me],
+                blocks,
+                scratch: Matrix::zeros(r, r),
+                block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
+            };
+            let j = journal.map(|log| Journal { log, me });
+            run_steps(
+                &mut interp,
+                courier,
+                clock,
+                cfg.lookahead,
+                start,
+                j.as_ref(),
+            )?;
+            Ok(interp.blocks)
+        },
+    )
 }
 
 /// Folds worker stores into the lower factor `L`: keeps the lower block

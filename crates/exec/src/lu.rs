@@ -59,7 +59,7 @@ pub fn run_lu_on_cfg(
     cfg: ExecConfig,
 ) -> Result<(Matrix, ExecReport), ExecError> {
     let da = DistributedMatrix::scatter(a, dist, nb, r);
-    let (stores, report) = lu_seg(transport, &da, dist, weights, cfg, 0, None)?;
+    let (stores, report) = lu_seg(transport, da, dist, weights, cfg, 0, None)?;
     let f = gather_result(stores, (nb, nb), r, "run_lu");
     Ok((f, report))
 }
@@ -109,7 +109,7 @@ pub(crate) fn effective_lu_lookahead(requested: usize, weights: &[Vec<u64>]) -> 
 /// Returns the raw per-processor stores; the caller gathers.
 pub(crate) fn lu_seg(
     transport: &impl Transport,
-    da: &DistributedMatrix,
+    da: DistributedMatrix,
     dist: &(dyn BlockDist + Sync),
     weights: &[Vec<u64>],
     cfg: ExecConfig,
@@ -131,19 +131,25 @@ pub(crate) fn lu_seg(
         })
         .collect();
 
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = LuInterp {
-            plan: &plan,
-            my: (me / q, me % q),
-            owned: &owned[me],
-            blocks: da.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(&mut interp, courier, clock, lookahead, start, j.as_ref())?;
-        Ok(interp.blocks)
-    })
+    run_grid(
+        transport,
+        (p, q),
+        weights,
+        da.stores,
+        |me, blocks, courier, clock| {
+            let mut interp = LuInterp {
+                plan: &plan,
+                my: (me / q, me % q),
+                owned: &owned[me],
+                blocks,
+                scratch: Matrix::zeros(r, r),
+                block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
+            };
+            let j = journal.map(|log| Journal { log, me });
+            run_steps(&mut interp, courier, clock, lookahead, start, j.as_ref())?;
+            Ok(interp.blocks)
+        },
+    )
 }
 
 /// Unblocked LU without pivoting of a single block, in place, packed.

@@ -78,7 +78,7 @@ pub fn run_mm_rect_on_cfg(
     let da = DistributedMatrix::scatter_rect(a, dist, mb, kb, r);
     let db = DistributedMatrix::scatter_rect(b, dist, kb, nb, r);
     let dc = DistributedMatrix::zeros_rect(dist, mb, nb, r);
-    let (stores, report) = mm_seg(transport, &da, &db, &dc, dist, weights, cfg, 0, None)?;
+    let (stores, report) = mm_seg(transport, &da, &db, dc, dist, weights, cfg, 0, None)?;
     let c = gather_result(stores, (mb, nb), r, "run_mm");
     Ok((c, report))
 }
@@ -88,13 +88,14 @@ pub fn run_mm_rect_on_cfg(
 /// (`dc` — zeros for a fresh run, the checkpointed state when resuming
 /// after a grid fault), optionally journaling every C-block write into
 /// `journal`. The fresh-run entry points wrap this with `start = 0`, a
-/// zero baseline and no journal.
+/// zero baseline and no journal. Each worker takes its C store out of
+/// `dc` and updates it in place.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mm_seg(
     transport: &impl Transport,
     da: &DistributedMatrix,
     db: &DistributedMatrix,
-    dc: &DistributedMatrix,
+    dc: DistributedMatrix,
     dist: &(dyn BlockDist + Sync),
     weights: &[Vec<u64>],
     cfg: ExecConfig,
@@ -116,29 +117,35 @@ pub(crate) fn mm_seg(
         })
         .collect();
 
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let my = (me / q, me % q);
-        let mut interp = MmInterp {
-            plan: &plan,
-            my,
-            owned: &owned_c[me],
-            my_a: &da.stores[me],
-            my_b: &db.stores[me],
-            c_blocks: dc.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.c_blocks)
-    })
+    run_grid(
+        transport,
+        (p, q),
+        weights,
+        dc.stores,
+        |me, c_blocks, courier, clock| {
+            let my = (me / q, me % q);
+            let mut interp = MmInterp {
+                plan: &plan,
+                my,
+                owned: &owned_c[me],
+                my_a: &da.stores[me],
+                my_b: &db.stores[me],
+                c_blocks,
+                scratch: Matrix::zeros(r, r),
+                block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
+            };
+            let j = journal.map(|log| Journal { log, me });
+            run_steps(
+                &mut interp,
+                courier,
+                clock,
+                cfg.lookahead,
+                start,
+                j.as_ref(),
+            )?;
+            Ok(interp.c_blocks)
+        },
+    )
 }
 
 /// One processor's MM actions for `step`: a critical dependency-free

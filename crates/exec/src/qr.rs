@@ -102,7 +102,7 @@ pub fn run_qr_on_cfg(
     let da = DistributedMatrix::scatter(a, dist, nb, r);
     let nb = da.nb_rows;
     let taus_acc: Mutex<Vec<Vec<f64>>> = Mutex::new(vec![Vec::new(); nb]);
-    let (stores, report) = qr_seg(transport, &da, dist, weights, cfg, 0, None, &taus_acc)?;
+    let (stores, report) = qr_seg(transport, da, dist, weights, cfg, 0, None, &taus_acc)?;
     let packed = gather_result(stores, (nb, nb), r, "run_qr");
     let taus: Vec<f64> = taus_acc
         .into_inner()
@@ -127,7 +127,7 @@ pub fn run_qr_on_cfg(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn qr_seg(
     transport: &impl Transport,
-    da: &DistributedMatrix,
+    da: DistributedMatrix,
     dist: &(dyn BlockDist + Sync),
     weights: &[Vec<u64>],
     cfg: ExecConfig,
@@ -140,27 +140,33 @@ pub(crate) fn qr_seg(
     let (nb, r) = (da.nb_rows, da.r);
     let plan = hetgrid_plan::qr_plan(dist, nb);
 
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = QrInterp {
-            plan: &plan,
-            r,
-            my: (me / q, me % q),
-            blocks: da.stores[me].clone(),
-            taus_acc,
-            factors: HashMap::new(),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.blocks)
-    })
+    run_grid(
+        transport,
+        (p, q),
+        weights,
+        da.stores,
+        |me, blocks, courier, clock| {
+            let mut interp = QrInterp {
+                plan: &plan,
+                r,
+                my: (me / q, me % q),
+                blocks,
+                taus_acc,
+                factors: HashMap::new(),
+                block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
+            };
+            let j = journal.map(|log| Journal { log, me });
+            run_steps(
+                &mut interp,
+                courier,
+                clock,
+                cfg.lookahead,
+                start,
+                j.as_ref(),
+            )?;
+            Ok(interp.blocks)
+        },
+    )
 }
 
 /// Rebuilds `(Q, R)` from [`run_qr_on_cfg`]'s globally packed factors:

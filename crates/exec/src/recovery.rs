@@ -299,16 +299,31 @@ pub fn run_recovery(
             Some(s) => (&*s.dist, &s.weights),
             None => (dist, weights),
         };
+        // The segments consume their stores; `state` must survive a
+        // failed epoch (recovery rebuilds from it), so each epoch runs
+        // on a copy.
         let outcome = match &state {
-            KernelState::Lu { da } => {
-                lu_seg(transport, da, cur_dist, cur_weights, cfg, start, Some(&log))
-            }
-            KernelState::Cholesky { da } => {
-                cholesky_seg(transport, da, cur_dist, cur_weights, cfg, start, Some(&log))
-            }
+            KernelState::Lu { da } => lu_seg(
+                transport,
+                da.clone(),
+                cur_dist,
+                cur_weights,
+                cfg,
+                start,
+                Some(&log),
+            ),
+            KernelState::Cholesky { da } => cholesky_seg(
+                transport,
+                da.clone(),
+                cur_dist,
+                cur_weights,
+                cfg,
+                start,
+                Some(&log),
+            ),
             KernelState::Qr { da, taus } => qr_seg(
                 transport,
-                da,
+                da.clone(),
                 cur_dist,
                 cur_weights,
                 cfg,
@@ -320,7 +335,7 @@ pub fn run_recovery(
                 transport,
                 da,
                 db,
-                dc,
+                dc.clone(),
                 cur_dist,
                 cur_weights,
                 cfg,

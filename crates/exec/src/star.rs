@@ -104,13 +104,14 @@ pub fn run_star_mm_on_cfg(
     }
     let block_bytes = (r * r * std::mem::size_of::<f64>()) as u64;
 
-    let (stores, report) = run_grid(transport, shape, weights, |me, courier, clock| {
+    let empty = (0..shape.0 * shape.1).map(|_| BlockStore::new()).collect();
+    let (stores, report) = run_grid(transport, shape, weights, empty, |me, c, courier, clock| {
         if me == 0 {
             let mut interp = StarMaster {
                 plan: &plan,
                 a: &ma,
                 b: &mbk,
-                c: BlockStore::new(),
+                c,
                 block_bytes,
             };
             run_steps(&mut interp, courier, clock, cfg.lookahead, 0, None)?;

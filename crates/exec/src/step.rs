@@ -618,10 +618,10 @@ pub(crate) fn check_weights(weights: &[Vec<u64>], (p, q): (usize, usize), kernel
 }
 
 /// Spawns one worker thread per virtual processor of a `p x q` grid
-/// over `transport`, giving each a [`Courier`] and a [`WorkClock`]
-/// seeded from its slowdown weight. Returns each worker's final block
-/// store (indexed by linear processor id) and the assembled
-/// [`ExecReport`].
+/// over `transport`, giving each a [`Courier`], a [`WorkClock`] seeded
+/// from its slowdown weight, and — moved, not copied — its initial
+/// block store `stores[me]`. Returns each worker's final block store
+/// (indexed by linear processor id) and the assembled [`ExecReport`].
 ///
 /// A worker that hits a closed transport (a peer dropped out) returns
 /// `Err(Closed)`; the driver then aborts the whole run through
@@ -632,20 +632,22 @@ pub(crate) fn run_grid<P, W>(
     transport: &impl Transport,
     (p, q): (usize, usize),
     weights: &[Vec<u64>],
+    stores: Vec<BlockStore>,
     worker: W,
 ) -> Result<(Vec<BlockStore>, ExecReport), ExecError>
 where
     P: Send + 'static,
-    W: Fn(usize, &mut Courier<P>, &mut WorkClock) -> Result<BlockStore, Closed> + Sync,
+    W: Fn(usize, BlockStore, &mut Courier<P>, &mut WorkClock) -> Result<BlockStore, Closed> + Sync,
 {
     let n_procs = p * q;
+    assert_eq!(stores.len(), n_procs, "run_grid: one store per processor");
     let endpoints = transport.connect::<WireMsg<P>>(n_procs);
     type Done = (usize, Result<BlockStore, Closed>, f64, u64, u64);
     let (done_tx, done_rx) = crate::channel::unbounded::<Done>();
 
     let wall_start = Instant::now();
     std::thread::scope(|scope| {
-        for (me, ep) in endpoints.into_iter().enumerate() {
+        for (me, (ep, blocks)) in endpoints.into_iter().zip(stores).enumerate() {
             let (i, j) = (me / q, me % q);
             let done = done_tx.clone();
             let w = weights[i][j];
@@ -653,7 +655,7 @@ where
             scope.spawn(move || {
                 let mut courier = Courier::new(ep, (i, j), (p, q));
                 let mut clock = WorkClock::new(w);
-                let store = worker(me, &mut courier, &mut clock);
+                let store = worker(me, blocks, &mut courier, &mut clock);
                 if store.is_err() {
                     // Doom every peer mailbox so blocked workers fail
                     // fast instead of waiting for messages this worker

@@ -50,12 +50,37 @@ impl DistributedMatrix {
             (nb_rows * r, nb_cols * r),
             "scatter: size mismatch"
         );
+        Self::from_blocks(dist, nb_rows, nb_cols, r, |bi, bj| {
+            m.block(bi * r, bj * r, r, r)
+        })
+    }
+
+    /// Creates an all-zero square distributed matrix.
+    pub fn zeros(dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
+        Self::zeros_rect(dist, nb, nb, r)
+    }
+
+    /// Creates an all-zero rectangular distributed matrix: each owner
+    /// gets fresh `r x r` zero blocks, with no global matrix in between.
+    pub fn zeros_rect(dist: &dyn BlockDist, nb_rows: usize, nb_cols: usize, r: usize) -> Self {
+        Self::from_blocks(dist, nb_rows, nb_cols, r, |_, _| Matrix::zeros(r, r))
+    }
+
+    /// Places block `block(bi, bj)` of an `nb_rows x nb_cols` block
+    /// matrix at its owner under `dist`.
+    fn from_blocks(
+        dist: &dyn BlockDist,
+        nb_rows: usize,
+        nb_cols: usize,
+        r: usize,
+        mut block: impl FnMut(usize, usize) -> Matrix,
+    ) -> Self {
         let (p, q) = dist.grid();
         let mut stores: Vec<BlockStore> = vec![HashMap::new(); p * q];
         for bi in 0..nb_rows {
             for bj in 0..nb_cols {
                 let (i, j) = dist.owner(bi, bj);
-                stores[i * q + j].insert((bi, bj), m.block(bi * r, bj * r, r, r));
+                stores[i * q + j].insert((bi, bj), block(bi, bj));
             }
         }
         DistributedMatrix {
@@ -65,18 +90,6 @@ impl DistributedMatrix {
             stores,
             grid: (p, q),
         }
-    }
-
-    /// Creates an all-zero square distributed matrix.
-    pub fn zeros(dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
-        let z = Matrix::zeros(nb * r, nb * r);
-        Self::scatter(&z, dist, nb, r)
-    }
-
-    /// Creates an all-zero rectangular distributed matrix.
-    pub fn zeros_rect(dist: &dyn BlockDist, nb_rows: usize, nb_cols: usize, r: usize) -> Self {
-        let z = Matrix::zeros(nb_rows * r, nb_cols * r);
-        Self::scatter_rect(&z, dist, nb_rows, nb_cols, r)
     }
 
     /// Gathers the blocks back into a global matrix.

@@ -1,9 +1,9 @@
 //! General matrix-matrix multiplication (the workhorse of the
 //! outer-product algorithm in Section 3.1 of the paper).
 //!
-//! Three implementations are provided:
+//! Four implementations are provided:
 //! * [`matmul`] / [`gemm`] — packed-panel kernel with a register-tiled
-//!   4x4 micro-kernel (below), used by the executor for the per-block
+//!   micro-kernel (below), used by the executor for the per-block
 //!   rank-`r` updates;
 //! * [`par_gemm`] — the same kernel with row panels fanned out over the
 //!   `hetgrid-par` work-stealing pool;
@@ -13,14 +13,23 @@
 //!
 //! The packed kernel follows the classic GotoBLAS/BLIS decomposition:
 //! `B` is copied one `KC x NC` panel at a time into contiguous
-//! column-strips of width `NR`, `A` into contiguous row-strips of height
-//! `MR` (with `alpha` folded in during the copy), and the micro-kernel
-//! then streams both packed buffers through an `MR x NR` block of
+//! column-strips of width `nr`, `A` into contiguous row-strips of height
+//! `mr` (with `alpha` folded in during the copy), and the micro-kernel
+//! then streams both packed buffers through an `mr x nr` block of
 //! accumulator registers with a fully unrolled FMA-friendly inner loop.
 //! Packing costs `O(mk + kn)` per panel pass but makes every
 //! micro-kernel read sequential and lets the same `A` strip stay in
 //! registers across the whole `B` panel — the difference between the
 //! memory-bound `ikj` loop and a compute-bound kernel.
+//!
+//! `select_kernel` picks the tile at runtime: 8x16 with AVX-512F, 4x8
+//! with AVX2+FMA, a portable 4x4 otherwise. The two SIMD kernels agree
+//! bit for bit: each element of `C` is one fused multiply-add chain,
+//! started from zero, running in `k` order over the packed slab, and
+//! added to `C` once per slab. The tile shape only changes which
+//! elements share a register, never the operations applied to one
+//! element. (The portable kernel rounds each product separately, so it
+//! agrees with them to rounding, not bitwise.)
 
 use crate::Matrix;
 
@@ -29,11 +38,7 @@ use crate::Matrix;
 /// sizes.
 const BLOCK: usize = 64;
 
-/// Micro-tile height (rows of `A` per strip). The micro-tile width is
-/// chosen at runtime by [`select_kernel`]: 4 for the portable kernel,
-/// 8 for the AVX2/FMA kernel.
-const MR: usize = 4;
-/// Inner (`k`) extent of one packed panel pass: `KC * (MR + NR)` doubles
+/// Inner (`k`) extent of one packed panel pass: `KC * (mr + nr)` doubles
 /// of packed data live in L1/L2 while a strip pair is being consumed.
 const KC: usize = 256;
 /// Rows of `A` packed per inner block.
@@ -44,7 +49,7 @@ const NC: usize = 1024;
 /// Signature shared by the micro-kernels: accumulate
 /// `C[i0..i0+mr, j0..j0+nr] += A_strip * B_strip` over `kc` steps into
 /// the row-major `c_rows` slice with leading dimension `n`.
-type MicroKernel = fn(
+type MicroKernelFn = fn(
     kc: usize,
     a_strip: &[f64],
     b_strip: &[f64],
@@ -56,19 +61,56 @@ type MicroKernel = fn(
     nr: usize,
 );
 
-/// Picks the widest micro-kernel the host supports: the 4x8 AVX2+FMA
-/// kernel when the CPU has both features, the portable unrolled 4x4
-/// otherwise. Returns `(nr_tile, kernel)`; `is_x86_feature_detected!`
-/// caches, so the check is an atomic load after the first call.
-fn select_kernel() -> (usize, MicroKernel) {
+/// A micro-kernel and the tile it fills: `mr` rows of `A` per packed
+/// strip by `nr` columns of `B`, with the runtime test for the CPU
+/// features it needs.
+#[derive(Clone, Copy)]
+struct MicroKernel {
+    mr: usize,
+    nr: usize,
+    run: MicroKernelFn,
+    supported: fn() -> bool,
+}
+
+/// Every micro-kernel, widest tile first. `is_x86_feature_detected!`
+/// caches, so a feature test is an atomic load after the first call.
+const KERNELS: &[MicroKernel] = &[
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return (8, micro_kernel_4x8_avx2);
-        }
-    }
-    (4, micro_kernel_4x4)
+    MicroKernel {
+        mr: 8,
+        nr: 16,
+        run: micro_kernel_8x16_avx512,
+        supported: || std::arch::is_x86_feature_detected!("avx512f"),
+    },
+    #[cfg(target_arch = "x86_64")]
+    MicroKernel {
+        mr: 4,
+        nr: 8,
+        run: micro_kernel_4x8_avx2,
+        supported: || {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        },
+    },
+    MicroKernel {
+        mr: 4,
+        nr: 4,
+        run: micro_kernel_4x4,
+        supported: || true,
+    },
+];
+
+/// The micro-kernels this host can run, widest tile first.
+fn host_kernels() -> impl Iterator<Item = MicroKernel> {
+    KERNELS.iter().copied().filter(|k| (k.supported)())
+}
+
+/// Picks the widest micro-kernel the host supports: 8x16 with AVX-512F,
+/// else 4x8 with AVX2+FMA, else the portable unrolled 4x4.
+fn select_kernel() -> MicroKernel {
+    host_kernels()
+        .next()
+        .expect("the portable kernel runs everywhere")
 }
 
 /// `C <- alpha * A * B + beta * C` through the packed micro-kernel.
@@ -86,7 +128,7 @@ pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_rows_packed(alpha, a, b, 0..m, c.as_mut_slice());
+    gemm_rows_packed(select_kernel(), alpha, a, b, 0..m, c.as_mut_slice());
 }
 
 /// `C <- alpha * A * B + beta * C` with row panels of `C` split across
@@ -107,16 +149,17 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
         return;
     }
 
+    let kernel = select_kernel();
     let pool = hetgrid_par::global();
     let threads = pool.threads();
-    if threads == 1 || m < 2 * MR {
-        gemm_rows_packed(alpha, a, b, 0..m, c.as_mut_slice());
+    if threads == 1 || m < 2 * kernel.mr {
+        gemm_rows_packed(kernel, alpha, a, b, 0..m, c.as_mut_slice());
         return;
     }
 
     // Split the rows of C into one contiguous chunk per worker, rounded
     // to the micro-tile height so no strip straddles two workers.
-    let chunk = (m.div_ceil(threads)).next_multiple_of(MR);
+    let chunk = (m.div_ceil(threads)).next_multiple_of(kernel.mr);
     let mut jobs: Vec<(usize, &mut [f64])> = Vec::new();
     let mut rest = c.as_mut_slice();
     let mut row0 = 0;
@@ -131,7 +174,7 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
         for (row0, c_rows) in jobs {
             let rows = c_rows.len() / n;
             s.spawn(move || {
-                gemm_rows_packed(alpha, a, b, row0..row0 + rows, c_rows);
+                gemm_rows_packed(kernel, alpha, a, b, row0..row0 + rows, c_rows);
             });
         }
     });
@@ -148,9 +191,10 @@ fn scale(beta: f64, c: &mut [f64]) {
 
 /// Packed-panel GEMM for rows `rows.start..rows.end` of the product;
 /// `c_rows` is the corresponding row-major slice of `C` (beta already
-/// applied). Shared by [`gemm`] (whole matrix) and [`par_gemm`]
-/// (per-worker row chunk).
+/// applied), computed with `kernel`. Shared by [`gemm`] (whole matrix)
+/// and [`par_gemm`] (per-worker row chunk).
 fn gemm_rows_packed(
+    kernel: MicroKernel,
     alpha: f64,
     a: &Matrix,
     b: &Matrix,
@@ -162,10 +206,15 @@ fn gemm_rows_packed(
     let m = rows.len();
     debug_assert_eq!(c_rows.len(), m * n);
 
-    let (nr_tile, kernel) = select_kernel();
+    let MicroKernel {
+        mr: mr_tile,
+        nr: nr_tile,
+        run,
+        ..
+    } = kernel;
 
     // Packed buffers, allocated once per call and reused across panels.
-    let mut a_pack = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
+    let mut a_pack = vec![0.0f64; MC.min(m.next_multiple_of(mr_tile)) * KC.min(k)];
     let mut b_pack = vec![0.0f64; KC.min(k) * NC.min(n.next_multiple_of(nr_tile))];
 
     for jc in (0..n).step_by(NC) {
@@ -176,17 +225,17 @@ fn gemm_rows_packed(
             pack_b(b, pc, jc, kc, nc, nr_tile, &mut b_pack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                let mc_strips = mc.div_ceil(MR);
-                pack_a(a, alpha, rows.start + ic, pc, mc, kc, &mut a_pack);
+                let mc_strips = mc.div_ceil(mr_tile);
+                pack_a(a, alpha, rows.start + ic, pc, mc, kc, mr_tile, &mut a_pack);
                 for sj in 0..nc_strips {
                     let j0 = jc + sj * nr_tile;
                     let nr = nr_tile.min(n - j0);
                     let b_strip = &b_pack[sj * kc * nr_tile..(sj + 1) * kc * nr_tile];
                     for si in 0..mc_strips {
-                        let i0 = ic + si * MR;
-                        let mr = MR.min(m - i0);
-                        let a_strip = &a_pack[si * kc * MR..(si + 1) * kc * MR];
-                        kernel(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr);
+                        let i0 = ic + si * mr_tile;
+                        let mr = mr_tile.min(m - i0);
+                        let a_strip = &a_pack[si * kc * mr_tile..(si + 1) * kc * mr_tile];
+                        run(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr);
                     }
                 }
             }
@@ -194,28 +243,36 @@ fn gemm_rows_packed(
     }
 }
 
-/// Packs `A[ic.., pc..]` (`mc x kc`) into row-strips of height `MR`:
-/// strip `s` holds, for each `p`, the `MR` values of rows
-/// `ic + s*MR .. ic + s*MR + MR` at column `pc + p`, contiguously.
+/// Packs `A[ic.., pc..]` (`mc x kc`) into row-strips of height `mr`:
+/// strip `s` holds, for each `p`, the `mr` values of rows
+/// `ic + s*mr .. ic + s*mr + mr` at column `pc + p`, contiguously.
 /// Missing tail rows are zero-filled; `alpha` is folded in here so the
 /// micro-kernel never multiplies by it.
-fn pack_a(a: &Matrix, alpha: f64, ic: usize, pc: usize, mc: usize, kc: usize, buf: &mut [f64]) {
-    let strips = mc.div_ceil(MR);
+#[allow(clippy::too_many_arguments)]
+fn pack_a(
+    a: &Matrix,
+    alpha: f64,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    mr: usize,
+    buf: &mut [f64],
+) {
+    let strips = mc.div_ceil(mr);
     for s in 0..strips {
-        let strip = &mut buf[s * kc * MR..(s + 1) * kc * MR];
-        let row_base = ic + s * MR;
-        let rows_here = MR.min(mc - s * MR);
+        let strip = &mut buf[s * kc * mr..(s + 1) * kc * mr];
+        let row_base = ic + s * mr;
+        let rows_here = mr.min(mc - s * mr);
         for r in 0..rows_here {
             let arow = &a.row(row_base + r)[pc..pc + kc];
             for (p, &v) in arow.iter().enumerate() {
-                strip[p * MR + r] = alpha * v;
+                strip[p * mr + r] = alpha * v;
             }
         }
-        if rows_here < MR {
+        if rows_here < mr {
             for p in 0..kc {
-                for r in rows_here..MR {
-                    strip[p * MR + r] = 0.0;
-                }
+                strip[p * mr + rows_here..(p + 1) * mr].fill(0.0);
             }
         }
     }
@@ -265,7 +322,7 @@ fn micro_kernel_4x4(
     let (mut c30, mut c31, mut c32, mut c33) = (0.0f64, 0.0, 0.0, 0.0);
 
     for (av, bv) in a_strip
-        .chunks_exact(MR)
+        .chunks_exact(4)
         .zip(b_strip.chunks_exact(4))
         .take(kc)
     {
@@ -350,7 +407,7 @@ unsafe fn micro_kernel_4x8_fma(
 ) {
     use std::arch::x86_64::*;
 
-    debug_assert!(a_strip.len() >= kc * MR && b_strip.len() >= kc * 8);
+    debug_assert!(a_strip.len() >= kc * 4 && b_strip.len() >= kc * 8);
     let mut ap = a_strip.as_ptr();
     let mut bp = b_strip.as_ptr();
 
@@ -370,7 +427,7 @@ unsafe fn micro_kernel_4x8_fma(
         let a3 = _mm256_set1_pd(*ap.add(3));
         acc[6] = _mm256_fmadd_pd(a3, b_lo, acc[6]);
         acc[7] = _mm256_fmadd_pd(a3, b_hi, acc[7]);
-        ap = ap.add(MR);
+        ap = ap.add(4);
         bp = bp.add(8);
     }
 
@@ -386,8 +443,8 @@ unsafe fn micro_kernel_4x8_fma(
     } else {
         // Ragged edge: spill the tile to a stack buffer, add the valid
         // corner scalar-wise.
-        let mut buf = [[0.0f64; 8]; MR];
-        for r in 0..MR {
+        let mut buf = [[0.0f64; 8]; 4];
+        for r in 0..4 {
             _mm256_storeu_pd(buf[r].as_mut_ptr(), acc[2 * r]);
             _mm256_storeu_pd(buf[r].as_mut_ptr().add(4), acc[2 * r + 1]);
         }
@@ -396,6 +453,92 @@ unsafe fn micro_kernel_4x8_fma(
             for (cv, &v) in crow.iter_mut().zip(&brow[..nr]) {
                 *cv += v;
             }
+        }
+    }
+}
+
+/// Safe front for the AVX-512F 8x16 micro-kernel: checks, once per
+/// tile, every condition the raw-pointer kernel relies on.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn micro_kernel_8x16_avx512(
+    kc: usize,
+    a_strip: &[f64],
+    b_strip: &[f64],
+    c_rows: &mut [f64],
+    i0: usize,
+    j0: usize,
+    n: usize,
+    mr: usize,
+    nr: usize,
+) {
+    assert!(std::arch::is_x86_feature_detected!("avx512f"));
+    assert!(a_strip.len() >= kc * 8 && b_strip.len() >= kc * 16);
+    assert!((1..=8).contains(&mr) && (1..=16).contains(&nr) && j0 + nr <= n);
+    assert!(c_rows.len() >= (i0 + mr) * n);
+    // SAFETY: the asserts above are the `# Safety` contract of the
+    // kernel: the CPU has AVX-512F, both strips hold `kc` packed steps,
+    // and rows `i0..i0 + mr`, columns `j0..j0 + nr` lie inside `c_rows`.
+    unsafe { micro_kernel_8x16_fma(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr) }
+}
+
+/// The 8x16 AVX-512F micro-kernel: sixteen 512-bit accumulators (eight
+/// rows x two vector halves of the 16-wide tile), one broadcast of each
+/// `A` value and two `vfmadd` per row per `k` step — twice the rows and
+/// twice the width of the AVX2 tile, so each packed `B` load feeds
+/// eight rows instead of four. Per element the arithmetic is the AVX2
+/// kernel's exactly (see the module docs). Ragged tiles add into `C`
+/// through lane masks instead of a stack spill.
+///
+/// # Safety
+/// Requires AVX-512F at runtime; `a_strip`/`b_strip` must hold at
+/// least `kc` packed steps (`8` resp. `16` doubles each); `1 <= mr <= 8`,
+/// `1 <= nr <= 16`, and the `mr x nr` tile at `(i0, j0)` of the
+/// row-major `c_rows` (row length `n`) must lie inside the slice.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel_8x16_fma(
+    kc: usize,
+    a_strip: &[f64],
+    b_strip: &[f64],
+    c_rows: &mut [f64],
+    i0: usize,
+    j0: usize,
+    n: usize,
+    mr: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::*;
+
+    let mut ap = a_strip.as_ptr();
+    let mut bp = b_strip.as_ptr();
+
+    let mut acc = [_mm512_setzero_pd(); 16];
+    for _ in 0..kc {
+        let b_lo = _mm512_loadu_pd(bp);
+        let b_hi = _mm512_loadu_pd(bp.add(8));
+        for r in 0..8 {
+            let ar = _mm512_set1_pd(*ap.add(r));
+            acc[2 * r] = _mm512_fmadd_pd(ar, b_lo, acc[2 * r]);
+            acc[2 * r + 1] = _mm512_fmadd_pd(ar, b_hi, acc[2 * r + 1]);
+        }
+        ap = ap.add(8);
+        bp = bp.add(16);
+    }
+
+    // Lane masks for the valid columns of each half; a full tile has
+    // both all-ones. Masked-off lanes of C are neither read nor written.
+    let mask = ((1u32 << nr) - 1) as u16;
+    let (mask_lo, mask_hi): (__mmask8, __mmask8) = (mask as u8, (mask >> 8) as u8);
+    for r in 0..mr {
+        let cp = c_rows.as_mut_ptr().add((i0 + r) * n + j0);
+        let lo = _mm512_add_pd(_mm512_maskz_loadu_pd(mask_lo, cp), acc[2 * r]);
+        _mm512_mask_storeu_pd(cp, mask_lo, lo);
+        if mask_hi != 0 {
+            let hp = cp.add(8);
+            let hi = _mm512_add_pd(_mm512_maskz_loadu_pd(mask_hi, hp), acc[2 * r + 1]);
+            _mm512_mask_storeu_pd(hp, mask_hi, hi);
         }
     }
 }
@@ -567,6 +710,73 @@ mod tests {
         ger(2.0, &[1.0, 2.0, 3.0], &[4.0, 5.0], &mut a);
         assert_eq!(a[(2, 1)], 30.0);
         assert_eq!(a[(0, 0)], 8.0);
+    }
+
+    /// `C0 + alpha * A * B` through one specific micro-kernel.
+    fn gemm_with(kernel: MicroKernel, alpha: f64, a: &Matrix, b: &Matrix, c0: &Matrix) -> Matrix {
+        let mut c = c0.clone();
+        gemm_rows_packed(kernel, alpha, a, b, 0..a.rows(), c.as_mut_slice());
+        c
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ragged shapes: `m` and `n` off every tile multiple (4, 8, 16) and
+    /// `k` past `KC`, so each C element spans two packed k-slabs.
+    const RAGGED: [(usize, usize, usize); 4] =
+        [(7, 300, 13), (19, 257, 37), (33, 513, 17), (130, 270, 45)];
+
+    #[test]
+    fn every_host_kernel_matches_naive_on_ragged_shapes() {
+        for kernel in host_kernels() {
+            let name = format!("{}x{}", kernel.mr, kernel.nr);
+            for &(m, k, n) in &RAGGED {
+                let a = arb(m, k, (m * 31 + k) as u64);
+                let b = arb(k, n, (k * 31 + n) as u64);
+                let c0 = arb(m, n, (m * 7 + n) as u64);
+                let got = gemm_with(kernel, -0.5, &a, &b, &c0);
+                let want = c0.add(&matmul_naive(&a, &b).scale(-0.5));
+                assert!(
+                    got.approx_eq(&want, 1e-12 * k as f64),
+                    "{name} kernel diverges from naive at {m}x{k}x{n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn simd_kernels_agree_bit_for_bit() {
+        let find = |tile| host_kernels().find(|k| (k.mr, k.nr) == tile);
+        let (Some(avx2), Some(avx512)) = (find((4, 8)), find((8, 16))) else {
+            return; // nothing to compare on this host
+        };
+        for &(m, k, n) in RAGGED.iter().chain(&[(48, 48, 48), (1, 1, 1)]) {
+            let a = arb(m, k, (m + 3 * k) as u64);
+            let b = arb(k, n, (k + 3 * n) as u64);
+            let c0 = arb(m, n, (m + 5 * n) as u64);
+            assert_eq!(
+                bits(&gemm_with(avx2, 1.0, &a, &b, &c0)),
+                bits(&gemm_with(avx512, 1.0, &a, &b, &c0)),
+                "AVX2 and AVX-512 kernels differ at {m}x{k}x{n}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_gemm_is_bit_identical_to_gemm() {
+        for m in [33, 36, 100] {
+            let (k, n) = (70, 29);
+            let a = arb(m, k, m as u64);
+            let b = arb(k, n, 99);
+            let c0 = arb(m, n, 5);
+            let mut serial = c0.clone();
+            gemm(1.5, &a, &b, 0.5, &mut serial);
+            let mut par = c0.clone();
+            par_gemm(1.5, &a, &b, 0.5, &mut par);
+            assert_eq!(bits(&par), bits(&serial), "par_gemm differs at m = {m}");
+        }
     }
 
     #[test]

@@ -169,7 +169,15 @@ impl Matrix {
             r0 + nr <= self.rows && c0 + nc <= self.cols,
             "block out of bounds"
         );
-        Matrix::from_fn(nr, nc, |i, j| self[(r0 + i, c0 + j)])
+        let mut data = Vec::with_capacity(nr * nc);
+        for i in r0..r0 + nr {
+            data.extend_from_slice(&self.row(i)[c0..c0 + nc]);
+        }
+        Matrix {
+            rows: nr,
+            cols: nc,
+            data,
+        }
     }
 
     /// Writes `b` into this matrix starting at `(r0, c0)`.
@@ -182,9 +190,7 @@ impl Matrix {
             "set_block out of bounds"
         );
         for i in 0..b.rows {
-            for j in 0..b.cols {
-                self[(r0 + i, c0 + j)] = b[(i, j)];
-            }
+            self.row_mut(r0 + i)[c0..c0 + b.cols].copy_from_slice(b.row(i));
         }
     }
 

@@ -44,7 +44,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // Ragged dimensions exercise every edge path of the packed
-        // micro-kernel (partial MR strips, partial nr tiles, k tails).
+        // micro-kernel (partial mr strips, partial nr tiles, k tails).
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = || {
             state ^= state << 13;
@@ -214,8 +214,8 @@ proptest! {
 }
 
 /// Deterministic regression for the parallel row-split path: 130x70x129
-/// has a row count that is not a multiple of the 4-row micro-kernel strip
-/// and hits every cache-blocking edge case at once.
+/// has a row count that is not a multiple of any micro-kernel strip
+/// height (4 or 8) and hits every cache-blocking edge case at once.
 #[test]
 fn par_gemm_matches_naive_130x70x129() {
     let (m, k, n) = (130, 70, 129);

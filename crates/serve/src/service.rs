@@ -247,6 +247,18 @@ impl Service {
             match inflight.get(&fp.0) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
+                    // A leader that finished between the probe above and
+                    // this lock cached its bytes before retiring its
+                    // flight: look again rather than solve twice.
+                    if let Some(bytes) = self
+                        .cache
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .get(fp, &key)
+                    {
+                        m.counter("serve.cache.hits").inc();
+                        return bytes;
+                    }
                     let f = Arc::new(Flight {
                         slot: Mutex::new(None),
                         done: Condvar::new(),
